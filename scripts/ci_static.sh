@@ -4,7 +4,9 @@
 #      (skipped with a notice when clang-tidy is not installed — the
 #      container toolchain is gcc-only).
 #   2. The verifier self-tests (tests/test_verify): seeded determinacy
-#      races, PTSG drift, lint findings, reachability corner cases.
+#      races, PTSG drift, lint findings, reachability corner cases; and the
+#      simulator graph builder checked against the verifier's shadow
+#      (tests/test_sim_graph).
 #   3. The online race-detector self-tests (tests/test_race): seeded
 #      edge drops caught at discovery time, strict escalation, sampling
 #      determinism, range-overlap flags, tenant isolation.
@@ -15,7 +17,7 @@
 #      sampling configuration must stay flag-free under concurrent
 #      submitters on a shared pool.
 #   6. tdg-trace verify / race / tdg-lint smoke on a freshly recorded
-#      trace.
+#      trace, and tdg-trace verify on a TSV recording of the same run.
 #
 # Usage: scripts/ci_static.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -31,14 +33,15 @@ cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 
 echo "=== [static] build ==="
 cmake --build "$dir" -j "$jobs" \
-      --target test_verify test_race test_cholesky test_lulesh \
-               test_taskbench tdg-trace cholesky_demo multitenant_soak
+      --target test_verify test_race test_sim_graph test_cholesky \
+               test_lulesh test_taskbench tdg-trace cholesky_demo \
+               multitenant_soak
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== [static] clang-tidy ==="
   # Sources only; headers are covered through HeaderFilterRegex.
   clang-tidy -p "$dir" --quiet \
-      src/core/*.cpp src/mpi/*.cpp src/apps/*.cpp src/sim/*.cpp \
+      src/core/*.cpp src/mpi/*.cpp src/apps/*/*.cpp src/sim/*.cpp \
       tools/*.cpp
 else
   echo "=== [static] clang-tidy not installed; skipping lint pass ==="
@@ -46,6 +49,9 @@ fi
 
 echo "=== [static] verifier self-tests ==="
 "$dir"/tests/test_verify
+
+echo "=== [static] simulator graph builder against the verifier ==="
+"$dir"/tests/test_sim_graph
 
 echo "=== [static] race-detector self-tests ==="
 "$dir"/tests/test_race
@@ -78,5 +84,14 @@ echo "=== [static] tdg-trace race ==="
 
 echo "=== [static] tdg-lint (strict) ==="
 "$dir"/tools/tdg-lint "$trace" --strict
+
+tsv="$workdir/trace.tsv"
+echo "=== [static] record a TSV verification trace (cholesky_demo) ==="
+(cd "$workdir" && TDG_VERIFY=post TDG_TRACE=tsv \
+    TDG_TRACE_FILE="$tsv" "$OLDPWD/$dir/examples/cholesky_demo" 8 32)
+[ -s "$tsv" ] || { echo "TSV trace file was not written" >&2; exit 1; }
+
+echo "=== [static] tdg-trace verify (TSV) ==="
+"$dir"/tools/tdg-trace verify "$tsv"
 
 echo "=== static analysis + verification gate passed ==="

@@ -156,15 +156,6 @@ void RuntimeEmitter::end_iteration() {
 // SimEmitter
 // ---------------------------------------------------------------------------
 
-std::vector<sim::SimDep> SimEmitter::to_deps(std::span<const LDep> ldeps) {
-  std::vector<sim::SimDep> deps;
-  deps.reserve(ldeps.size());
-  for (const LDep& d : ldeps) {
-    deps.push_back(sim::SimDep{d.addr + 1, d.type});
-  }
-  return deps;
-}
-
 void SimEmitter::compute(const char* label, std::span<const LDep> deps,
                          double est_seconds, std::uint64_t bytes,
                          std::function<void()>) {
@@ -173,8 +164,7 @@ void SimEmitter::compute(const char* label, std::span<const LDep> deps,
   a.cpu_seconds = est_seconds;
   a.bytes = bytes;
   a.iteration = iteration_;
-  const auto sdeps = to_deps(deps);
-  builder_.task(a, std::span<const sim::SimDep>(sdeps));
+  builder_.task(a, deps);
 }
 
 void SimEmitter::comm_task(const char* label, std::span<const LDep> deps,
@@ -188,8 +178,7 @@ void SimEmitter::comm_task(const char* label, std::span<const LDep> deps,
   a.peer = peer;
   a.tag = tag;
   a.iteration = iteration_;
-  const auto sdeps = to_deps(deps);
-  builder_.task(a, std::span<const sim::SimDep>(sdeps));
+  builder_.task(a, deps);
 }
 
 void SimEmitter::send(const char* label, std::span<const LDep> deps,

@@ -22,17 +22,7 @@ namespace tdg::apps {
 /// Logical dependency address: an abstract identity, mapped to a fake
 /// pointer for the real runtime and used directly by the sim builder.
 using LAddr = std::uint64_t;
-
-struct LDep {
-  LAddr addr = 0;
-  DependType type = DependType::In;
-  static constexpr LDep in(LAddr a) { return {a, DependType::In}; }
-  static constexpr LDep out(LAddr a) { return {a, DependType::Out}; }
-  static constexpr LDep inout(LAddr a) { return {a, DependType::InOut}; }
-  static constexpr LDep inoutset(LAddr a) {
-    return {a, DependType::InOutSet};
-  }
-};
+using LDep = sim::SimDep;
 
 /// Target-independent task sink. `concrete()` tells generators whether
 /// bodies will run (so model-only callers can skip capturing them).
@@ -169,7 +159,7 @@ class RuntimeEmitter final : public Emitter {
 class SimEmitter final : public Emitter {
  public:
   struct Options {
-    sim::SimGraphBuilder::Options builder;
+    DiscoveryOptions builder;  ///< optimizations (b), (c)
     bool persistent = false;
   };
 
@@ -201,7 +191,6 @@ class SimEmitter final : public Emitter {
   void comm_task(const char* label, std::span<const LDep> deps,
                  sim::SimTaskKind kind, std::uint64_t bytes, int peer,
                  int tag);
-  static std::vector<sim::SimDep> to_deps(std::span<const LDep> ldeps);
 
   Options opts_;
   sim::SimGraphBuilder builder_;

@@ -12,7 +12,7 @@ namespace tdg::apps::lulesh {
 
 struct SimGraphOptions {
   Config cfg;  ///< tpl, iterations, minimized_deps, sim_scale
-  sim::SimGraphBuilder::Options builder;  ///< optimizations (b), (c)
+  DiscoveryOptions builder;  ///< optimizations (b), (c)
   /// Persistent capture: only iteration 0 is emitted (the simulator
   /// replays it); otherwise all iterations with cross-iteration edges.
   bool persistent = false;

@@ -312,7 +312,7 @@ void emit(Emitter& em, const Config& cfg, Workspace* ws) {
 }
 
 sim::SimGraph build_sim_graph(const Config& cfg,
-                              sim::SimGraphBuilder::Options builder_opts,
+                              DiscoveryOptions builder_opts,
                               bool persistent) {
   SimEmitter em({builder_opts, persistent});
   emit(em, cfg, nullptr);

@@ -119,7 +119,7 @@ void emit(Emitter& em, const Config& cfg, Workspace* ws);
 /// Model-only convenience: the pattern's SimGraph (persistent = capture
 /// one iteration for the simulator to replay).
 sim::SimGraph build_sim_graph(const Config& cfg,
-                              sim::SimGraphBuilder::Options builder_opts,
+                              DiscoveryOptions builder_opts,
                               bool persistent);
 
 struct RunResult {

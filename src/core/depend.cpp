@@ -2,18 +2,20 @@
 
 namespace tdg {
 
-DependencyMap::~DependencyMap() {
+template <class Node>
+BasicDependencyMap<Node>::~BasicDependencyMap() {
   clear();
   delete[] slots_;
 }
 
-void DependencyMap::grow_table() {
+template <class Node>
+void BasicDependencyMap<Node>::grow_table() {
   const std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
   Slot* fresh = new Slot[new_cap]();  // entry == nullptr marks empty
   const std::size_t mask = new_cap - 1;
   for (std::size_t i = 0; i < cap_; ++i) {
     if (slots_[i].entry == nullptr) continue;
-    std::size_t j = mix_pointer_hash(slots_[i].key) & mask;
+    std::size_t j = Traits::hash(slots_[i].key) & mask;
     while (fresh[j].entry != nullptr) j = (j + 1) & mask;
     fresh[j] = slots_[i];
   }
@@ -29,13 +31,14 @@ void DependencyMap::grow_table() {
   ++rehashes_;
 }
 
-DependencyMap::AddrEntry& DependencyMap::lookup(const void* addr) {
+template <class Node>
+auto BasicDependencyMap<Node>::lookup(const void* addr) -> AddrEntry& {
   if (addr == last_addr_ && last_entry_ != nullptr) return *last_entry_;
   // Grow before probing so the insert below always finds a free slot and
   // the load factor stays under 3/4 (probe sequences stay short).
   if ((size_ + 1) * 4 > cap_ * 3) grow_table();
   const std::size_t mask = cap_ - 1;
-  std::size_t i = mix_pointer_hash(addr) & mask;
+  std::size_t i = Traits::hash(addr) & mask;
   std::uint64_t probes = 1;
   while (slots_[i].entry != nullptr) {
     if (slots_[i].key == addr) {
@@ -67,8 +70,10 @@ DependencyMap::AddrEntry& DependencyMap::lookup(const void* addr) {
   return *e;
 }
 
-void DependencyMap::edge(Task* pred, Task* succ,
-                         const DiscoveryOptions& opts, const void* addr) {
+template <class Node>
+void BasicDependencyMap<Node>::edge(Node pred, Node succ,
+                                    const DiscoveryOptions& opts,
+                                    const void* addr) {
   // Seeded fault (verifier self-tests): the Nth discovery silently
   // vanishes, exactly as if the clause that would have produced it were
   // missing from the program. The drop is logged with both endpoint ids
@@ -77,7 +82,7 @@ void DependencyMap::edge(Task* pred, Task* succ,
   // to no single submit index.
   if (opts.seed_drop_edge != 0 && ++edge_calls_ == opts.seed_drop_edge) {
     dropped_edges_.push_back(
-        DroppedEdge{edge_calls_, pred->id(), succ->id(), addr});
+        DroppedEdge{edge_calls_, Traits::id(pred), Traits::id(succ), addr});
     return;
   }
   switch (hooks_->discover_edge(pred, succ)) {
@@ -91,67 +96,75 @@ void DependencyMap::edge(Task* pred, Task* succ,
 // Order `succ` after the last modifying access of `e`. For an open inoutset
 // generation this is either one edge through the redirect node (optimization
 // (c)) or one edge per generation member.
-void DependencyMap::edges_from_mod(AddrEntry& e, Task* succ,
-                                   const DiscoveryOptions& opts,
-                                   const void* addr) {
+template <class Node>
+void BasicDependencyMap<Node>::edges_from_mod(AddrEntry& e, Node succ,
+                                              const DiscoveryOptions& opts,
+                                              const void* addr) {
   // If succ itself is a member of the open generation (inoutset + in on
   // the same address in one clause), routing through a redirect node would
   // create an indirect self-cycle (succ -> R -> succ); use direct edges,
   // where the self-edge is skipped.
   bool self_in_mod = false;
   if (e.mod_is_set) {
-    for (Task* m : e.last_mod) self_in_mod |= (m == succ);
+    for (Node m : e.last_mod) self_in_mod |= (m == succ);
   }
   if (e.mod_is_set && opts.inoutset_redirect && e.last_mod.size() > 1 &&
       !self_in_mod) {
-    if (e.redirect == nullptr) {
-      Task* r = hooks_->make_internal_node();
+    if (e.redirect == Traits::kNone) {
+      const Node r = hooks_->make_internal_node();
       // Take the map's reference BEFORE sealing: if every member already
       // finished, sealing completes the node inline and drops its
       // self-reference — the descriptor must survive for the consumer
       // edge below (which will then be correctly pruned).
-      r->retain();
+      Traits::retain(r);
       ++episode_stats_.redirect_nodes;
-      for (Task* m : e.last_mod) edge(m, r, opts, addr);
+      for (Node m : e.last_mod) edge(m, r, opts, addr);
       hooks_->seal_internal_node(r);
       e.redirect = r;
     }
     edge(e.redirect, succ, opts, addr);
     return;
   }
-  for (Task* m : e.last_mod) edge(m, succ, opts, addr);
+  for (Node m : e.last_mod) edge(m, succ, opts, addr);
+}
+
+template <class Node>
+void BasicDependencyMap<Node>::drop_redirect(AddrEntry& e) {
+  if (e.redirect == Traits::kNone) return;
+  Traits::release(e.redirect);
+  e.redirect = Traits::kNone;
 }
 
 // Install `task` as the unique last writer, releasing the previous history.
-void DependencyMap::become_writer(AddrEntry& e, Task* task) {
+template <class Node>
+void BasicDependencyMap<Node>::become_writer(AddrEntry& e, Node task) {
   release_all(e.last_mod);
   release_all(e.gen_base);
   release_all(e.readers);
-  if (e.redirect != nullptr) {
-    e.redirect->release();
-    e.redirect = nullptr;
-  }
+  drop_redirect(e);
   e.mod_is_set = false;
   retain_into(e.last_mod, task);
 }
 
-void DependencyMap::apply(Task* task, std::span<const Depend> deps,
-                          const DiscoveryOptions& opts) {
-  for (const Depend& d : deps) {
-    AddrEntry& e = lookup(d.addr);
+template <class Node>
+void BasicDependencyMap<Node>::apply(Node task, std::span<const Dep> deps,
+                                     const DiscoveryOptions& opts) {
+  for (const Dep& d : deps) {
+    const void* addr = Traits::key(d);
+    AddrEntry& e = lookup(addr);
     switch (d.type) {
       case DependType::In:
         // Ordered after the last modifying access only; transitivity covers
         // anything earlier.
-        edges_from_mod(e, task, opts, d.addr);
+        edges_from_mod(e, task, opts, addr);
         retain_into(e.readers, task);
         break;
 
       case DependType::Out:
       case DependType::InOut:
         // Ordered after the last modifying access and all reads since.
-        edges_from_mod(e, task, opts, d.addr);
-        for (Task* r : e.readers) edge(r, task, opts, d.addr);
+        edges_from_mod(e, task, opts, addr);
+        for (Node r : e.readers) edge(r, task, opts, addr);
         become_writer(e, task);
         break;
 
@@ -162,38 +175,33 @@ void DependencyMap::apply(Task* task, std::span<const Depend> deps,
           e.mod_is_set = true;
           e.gen_base.clear();
           std::swap(e.gen_base, e.last_mod);
-          for (Task* r : e.readers) retain_into(e.gen_base, r);
+          for (Node r : e.readers) retain_into(e.gen_base, r);
           release_all(e.readers);
-          if (e.redirect != nullptr) {
-            e.redirect->release();
-            e.redirect = nullptr;
-          }
-        } else if (e.redirect != nullptr) {
-          // The generation grows: consumers discovered so far keep their
-          // edges to the old redirect (they must not depend on this new
-          // member), but future consumers need a fresh one.
-          e.redirect->release();
-          e.redirect = nullptr;
         }
+        // A growing generation needs a fresh redirect for future consumers;
+        // those discovered so far keep their edges to the old node (they
+        // must not depend on this new member).
+        drop_redirect(e);
         // A member is ordered after the generation base and any reader that
         // arrived while the generation was open (OpenMP 5.1: inoutset
         // depends on prior in/out/inout accesses, not prior inoutset).
-        for (Task* b : e.gen_base) edge(b, task, opts, d.addr);
-        for (Task* r : e.readers) edge(r, task, opts, d.addr);
+        for (Node b : e.gen_base) edge(b, task, opts, addr);
+        for (Node r : e.readers) edge(r, task, opts, addr);
         retain_into(e.last_mod, task);
         break;
     }
   }
 }
 
-void DependencyMap::clear() {
+template <class Node>
+void BasicDependencyMap<Node>::clear() {
   for (std::size_t i = 0; i < cap_; ++i) {
     AddrEntry* e = slots_[i].entry;
     if (e == nullptr) continue;
     release_all(e->last_mod);
     release_all(e->gen_base);
     release_all(e->readers);
-    if (e->redirect != nullptr) e->redirect->release();
+    drop_redirect(*e);
     e->~AddrEntry();
     arena_.deallocate(e);
     slots_[i].entry = nullptr;
@@ -212,5 +220,8 @@ void DependencyMap::clear() {
   // seed_drop_edge targets a lifetime position.)
   episode_stats_ = DiscoveryStats{};
 }
+
+template class BasicDependencyMap<Task*>;
+template class BasicDependencyMap<std::uint32_t>;
 
 }  // namespace tdg

@@ -4,11 +4,15 @@
 //   (b) O(1) duplicate-edge elimination (Section 3.1),
 //   (c) inoutset redirection nodes reducing m*n edges to m+n (Fig. 4).
 //
+// One resolver serves both engines: the map is instantiated over Task*
+// (DependencyMap, the runtime) and over std::uint32_t graph indices (the
+// simulator's SimGraphBuilder); a DiscoveryHooks sink applies edge policy.
+//
 // Data layout (see DESIGN.md "Discovery data layout"): the access history
 // is an open-addressing hash table — one flat power-of-two array of
 // (address, entry*) slots probed linearly under a mixed pointer hash — and
 // the AddrEntry payloads live in a slab arena (core/slab.hpp), so a rehash
-// moves only 16-byte slots while entries (which hold task references and
+// moves only 16-byte slots while entries (which hold node references and
 // possibly-spilled small_vectors) never move. History lists use
 // small_vector: the single writer / few readers of the common case stay
 // inline in the arena block, wide inoutset generations spill.
@@ -70,19 +74,20 @@ enum class EdgeOutcome : std::uint8_t {
   SelfSkip,   ///< pred == succ (same task, two clause items)
 };
 
-/// Services the dependency map needs from the runtime: creating edges
-/// (with pruning/dedup/persistence policy) and inserting internal nodes.
+/// The edge sink of the resolver: creating edges (with pruning/dedup/
+/// persistence policy) and inserting internal nodes.
+template <class Node>
 class DiscoveryHooks {
  public:
   virtual ~DiscoveryHooks() = default;
   /// Create precedence edge pred -> succ, applying dedup and pruning.
-  virtual EdgeOutcome discover_edge(Task* pred, Task* succ) = 0;
-  /// Create an empty runtime-internal node (inoutset redirect).
-  /// The node is returned with its discovery guard held; the map adds the
-  /// member edges and then calls seal_internal_node.
-  virtual Task* make_internal_node() = 0;
+  virtual EdgeOutcome discover_edge(Node pred, Node succ) = 0;
+  /// Create an empty internal node (inoutset redirect). The node is
+  /// returned with its discovery guard held; the map adds the member edges
+  /// and then calls seal_internal_node.
+  virtual Node make_internal_node() = 0;
   /// Drop the internal node's discovery guard (it may complete inline).
-  virtual void seal_internal_node(Task* node) = 0;
+  virtual void seal_internal_node(Node node) = 0;
 };
 
 /// Locality-preserving pointer hash. Depend addresses arrive in array
@@ -104,24 +109,70 @@ inline std::size_t mix_pointer_hash(const void* p) noexcept {
   return static_cast<std::size_t>(x + (x >> 9) + (x >> 18));
 }
 
+/// What the resolver needs to know about a node handle: its clause item,
+/// the table key and hash of an address, and how history holds a node.
+template <class Node>
+struct NodeTraits;
+
+/// Runtime tasks: history entries hold task references.
+template <>
+struct NodeTraits<Task*> {
+  using Dep = Depend;
+  static constexpr Task* kNone = nullptr;
+  static const void* key(const Depend& d) { return d.addr; }
+  static std::size_t hash(const void* key) { return mix_pointer_hash(key); }
+  static std::uint64_t id(Task* t) { return t->id(); }
+  static void retain(Task* t) { t->retain(); }
+  static void release(Task* t) { t->release(); }
+};
+
+/// Simulator graph indices: descriptors live as long as their graph, so
+/// references are no-ops. Abstract addresses are field-strided integers
+/// (lulesh and hpcg use field * 2^20 + block), which the additive pointer
+/// hash folds onto overlapping slot ranges, growing probe chains with the
+/// table; a full-avalanche finalizer (murmur3 fmix64) spreads them.
+template <>
+struct NodeTraits<std::uint32_t> {
+  static_assert(sizeof(std::uintptr_t) >= sizeof(std::uint64_t),
+                "abstract addresses are keyed as pointer-width words");
+  using Dep = sim::SimDep;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static const void* key(const sim::SimDep& d) {
+    return reinterpret_cast<const void*>(static_cast<std::uintptr_t>(d.addr));
+  }
+  static std::size_t hash(const void* key) {
+    std::uint64_t x = reinterpret_cast<std::uintptr_t>(key);
+    x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
+    x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    return static_cast<std::size_t>(x ^ (x >> 33));
+  }
+  static std::uint64_t id(std::uint32_t i) { return i; }
+  static void retain(std::uint32_t) {}
+  static void release(std::uint32_t) {}
+};
+
 /// Per-address access history with OpenMP 5.1 `in`/`out`/`inout`/`inoutset`
 /// semantics. Single-writer: depend clauses are processed sequentially by
 /// the producer thread (the paper's "sequential submission of dependent
 /// tasks"), which is what makes duplicate detection O(1) and lets the
 /// table skip all synchronization.
-class DependencyMap {
+template <class Node>
+class BasicDependencyMap {
  public:
-  explicit DependencyMap(DiscoveryHooks& hooks)
+  using Dep = typename NodeTraits<Node>::Dep;
+
+  /// `hooks` must outlive the map and stay at the same address.
+  explicit BasicDependencyMap(DiscoveryHooks<Node>& hooks)
       : hooks_(&hooks), arena_(sizeof(AddrEntry), /*nshards=*/1) {}
-  ~DependencyMap();
-  DependencyMap(const DependencyMap&) = delete;
-  DependencyMap& operator=(const DependencyMap&) = delete;
+  ~BasicDependencyMap();
+  BasicDependencyMap(const BasicDependencyMap&) = delete;
+  BasicDependencyMap& operator=(const BasicDependencyMap&) = delete;
 
   /// Process the depend clause of `task`, creating all required edges.
-  void apply(Task* task, std::span<const Depend> deps,
+  void apply(Node task, std::span<const Dep> deps,
              const DiscoveryOptions& opts);
 
-  /// Drop the whole access history, releasing task references. Used at
+  /// Drop the whole access history, releasing node references. Used at
   /// persistent-region discovery end and runtime shutdown. The slot array
   /// and arena chunks are retained for the next episode (capacity is
   /// sticky; chunk memory returns to the OS only at destruction).
@@ -167,27 +218,28 @@ class DependencyMap {
   std::uint64_t rehash_count() const { return rehashes_; }
 
  private:
+  using Traits = NodeTraits<Node>;
   /// History lists share one inline capacity so an opening inoutset
   /// generation can swap last_mod into gen_base without copying through
-  /// the heap. 4 pointers covers the figure benches' telemetry (one
-  /// writer, 1-3 readers between writes); generations of 5+ members and
-  /// wide reader sets spill.
+  /// the heap. 4 nodes covers the figure benches' telemetry (one writer,
+  /// 1-3 readers between writes); generations of 5+ members and wide
+  /// reader sets spill.
   static constexpr std::size_t kInlineHistory = 4;
-  using TaskList = small_vector<Task*, kInlineHistory>;
+  using NodeList = small_vector<Node, kInlineHistory>;
 
   struct AddrEntry {
     /// Last modifying access: a single out/inout writer, or the members of
-    /// the currently-open inoutset generation. Holds task references.
-    TaskList last_mod;
+    /// the currently-open inoutset generation. Holds references.
+    NodeList last_mod;
     /// Predecessors every new member of the open generation must be
     /// ordered after (the writer/readers present when the generation
     /// opened). Holds references.
-    TaskList gen_base;
+    NodeList gen_base;
     /// `in` tasks since last_mod changed. Holds references.
-    TaskList readers;
+    NodeList readers;
     /// Optimization (c): redirect node summarizing last_mod when it is an
     /// inoutset generation; invalidated when the generation grows.
-    Task* redirect = nullptr;
+    Node redirect = Traits::kNone;
     bool mod_is_set = false;  ///< last_mod is an open inoutset generation
   };
 
@@ -202,29 +254,31 @@ class DependencyMap {
   AddrEntry& lookup(const void* addr);
   /// Double the slot array and reinsert the (key, entry) pairs. Entries
   /// themselves never move — the table only stores pointers into the
-  /// arena — so no task reference is touched during a rehash.
+  /// arena — so no node reference is touched during a rehash.
   void grow_table();
 
-  void edges_from_mod(AddrEntry& e, Task* succ, const DiscoveryOptions& opts,
+  void edges_from_mod(AddrEntry& e, Node succ, const DiscoveryOptions& opts,
                       const void* addr);
-  void become_writer(AddrEntry& e, Task* task);
+  void become_writer(AddrEntry& e, Node task);
+  /// Drop the redirect node of `e`, if any.
+  void drop_redirect(AddrEntry& e);
   /// All edge discovery funnels through here: applies the seeded-drop
   /// fault (verifier self-tests) and folds the outcome into episode_stats_.
   /// `addr` is the clause address whose history produced the edge — only
   /// used to attribute seeded drops.
-  void edge(Task* pred, Task* succ, const DiscoveryOptions& opts,
+  void edge(Node pred, Node succ, const DiscoveryOptions& opts,
             const void* addr);
-  static void retain_into(TaskList& v, Task* t) {
-    t->retain();
+  static void retain_into(NodeList& v, Node t) {
+    Traits::retain(t);
     v.push_back(t);
   }
-  static void release_all(TaskList& v) {
-    for (Task* t : v) t->release();
+  static void release_all(NodeList& v) {
+    for (Node t : v) Traits::release(t);
     v.clear();
   }
 
-  DiscoveryHooks* hooks_;
-  TaskArena arena_;  ///< AddrEntry payload slab (PR 3 machinery)
+  DiscoveryHooks<Node>* hooks_;
+  TaskArena arena_;  ///< AddrEntry payload slab (core/slab.hpp)
   /// One-entry lookup cache: depend clauses touch the same address in
   /// bursts (out/in/inout items of one clause, stencil neighbours across
   /// consecutive submits), so the last (addr, entry) pair short-circuits
@@ -242,5 +296,11 @@ class DependencyMap {
   MetricsRegistry* mreg_ = nullptr;
   MetricIds mids_{};
 };
+
+/// The runtime's resolver.
+using DependencyMap = BasicDependencyMap<Task*>;
+
+extern template class BasicDependencyMap<Task*>;
+extern template class BasicDependencyMap<std::uint32_t>;
 
 }  // namespace tdg

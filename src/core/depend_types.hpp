@@ -55,4 +55,25 @@ struct Depend {
 /// Reusable buffer for building depend lists without per-task allocation.
 using DependList = std::vector<Depend>;
 
+namespace sim {
+
+/// Depend-clause item on an abstract 64-bit address: the clause form of the
+/// simulator's graph builder and of the application generators. It lives
+/// next to Depend because the resolver's index instantiation
+/// (core/depend.hpp) consumes it directly.
+struct SimDep {
+  std::uint64_t addr = 0;
+  DependType type = DependType::In;
+
+  static constexpr SimDep in(std::uint64_t a) { return {a, DependType::In}; }
+  static constexpr SimDep out(std::uint64_t a) { return {a, DependType::Out}; }
+  static constexpr SimDep inout(std::uint64_t a) {
+    return {a, DependType::InOut};
+  }
+  static constexpr SimDep inoutset(std::uint64_t a) {
+    return {a, DependType::InOutSet};
+  }
+};
+
+}  // namespace sim
 }  // namespace tdg

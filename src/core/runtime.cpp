@@ -98,7 +98,7 @@ void RuntimeMetricIds::register_into(MetricsRegistry& reg) {
 Runtime::Runtime(Config cfg)
     : cfg_(cfg),
       watchdog_(cfg.watchdog),
-      dep_map_(*static_cast<DiscoveryHooks*>(this)) {
+      dep_map_(*static_cast<DiscoveryHooks<Task*>*>(this)) {
   watchdog_.add_diagnostic(
       [this](std::string& out) { runtime_diagnostic(out); });
   // Environment overrides (see Config::metrics): TDG_METRICS gates
@@ -239,9 +239,9 @@ void Runtime::finalize_observability() {
                          profiler_->accesses(), profiler_->barriers(),
                          profiler_->scope_clears(), comms, popts);
         } else {
-          write_trace_tsv(os, records, profiler_->accesses(),
-                          profiler_->barriers(), profiler_->scope_clears(),
-                          comms);
+          write_trace_tsv(os, records, profiler_->edges(),
+                          profiler_->accesses(), profiler_->barriers(),
+                          profiler_->scope_clears(), comms);
         }
         std::fprintf(stderr,
                      "tdg: trace written to %s (%zu records, %zu edges)\n",

@@ -127,7 +127,7 @@ struct BatchItem {
 /// a shared WorkerPool as one tenant); the thread that constructs it
 /// becomes thread slot 0, the producer, which discovers the graph and helps
 /// execute during taskwait and when throttled.
-class Runtime : public DiscoveryHooks {
+class Runtime : public DiscoveryHooks<Task*> {
  public:
   struct Config {
     unsigned num_threads = 0;  ///< 0 = hardware concurrency

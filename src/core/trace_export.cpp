@@ -477,16 +477,20 @@ void write_perfetto(std::ostream& os, std::span<const TaskRecord> records,
 // ---------------------------------------------------------------------------
 
 void write_trace_tsv(std::ostream& os, std::span<const TaskRecord> records,
+                     std::span<const TraceEdge> edges,
                      std::span<const AccessRecord> accesses,
                      std::span<const std::uint64_t> barriers,
                      std::span<const std::uint64_t> scope_clears,
                      std::span<const CommRecord> comms) {
   os << "task_id\tthread\titeration\tlabel\tt_create_ns\tt_ready_ns\t"
         "t_start_ns\tt_end_ns\taccesses\trank\n";
-  // Cutoffs and comm records as comment lines so spreadsheet consumers of
-  // the plain rows keep working; parse_trace_tsv picks them back up.
+  // Cutoffs, edges and comm records as comment lines so spreadsheet users
+  // of the plain rows keep working; parse_trace_tsv picks them back up.
   for (std::uint64_t b : barriers) os << "#barrier\t" << b << '\n';
   for (std::uint64_t s : scope_clears) os << "#scope\t" << s << '\n';
+  for (const TraceEdge& e : edges) {
+    os << "#edge\t" << e.pred << '\t' << e.succ << '\n';
+  }
   for (const CommRecord& c : comms) {
     os << "#comm\t" << comm_kind_code(c.kind) << '\t' << c.self << '\t'
        << c.peer << '\t' << c.tag << '\t' << c.seq << '\t' << c.bytes
@@ -873,10 +877,10 @@ ParsedTrace parse_trace_tsv(std::istream& is) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     if (line[0] == '#') {
-      // Cutoff comment lines: "#barrier\t<id>" / "#scope\t<id>", and comm
-      // records as "#comm\t<kind>\t<self>\t<peer>\t<tag>\t<seq>\t<bytes>
-      // \t<t_post>\t<t_complete>\t<retransmits>\t<task>". Other comments
-      // are ignored for forward compatibility.
+      // Cutoff comment lines: "#barrier\t<id>" / "#scope\t<id>", edges as
+      // "#edge\t<pred>\t<succ>", comm records as "#comm\t<kind>\t<self>
+      // \t<peer>\t<tag>\t<seq>\t<bytes>\t<t_post>\t<t_complete>
+      // \t<retransmits>\t<task>". Other comments are ignored.
       std::vector<std::string> ccols;
       std::size_t cstart = 0;
       while (true) {
@@ -890,6 +894,9 @@ ParsedTrace parse_trace_tsv(std::istream& is) {
       } else if (ccols.size() >= 2 && ccols[0] == "#scope") {
         out.scope_clears.push_back(
             std::strtoull(ccols[1].c_str(), nullptr, 10));
+      } else if (ccols.size() == 3 && ccols[0] == "#edge") {
+        out.edges.push_back({std::strtoull(ccols[1].c_str(), nullptr, 10),
+                             std::strtoull(ccols[2].c_str(), nullptr, 10)});
       } else if (ccols.size() == 11 && ccols[0] == "#comm") {
         CommRecord c;
         TDG_REQUIRE(comm_kind_from_code(ccols[1], c.kind),

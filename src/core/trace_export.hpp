@@ -75,9 +75,11 @@ void write_perfetto(std::ostream& os, std::span<const TaskRecord> records,
 /// task_id/thread/iteration/label, all four absolute ns timestamps, the
 /// task's encoded depend clause in an `accesses` column, and the record's
 /// rank. Barrier / scope-clear cutoffs are `#barrier <id>` / `#scope <id>`
-/// comment lines (tab-separated) after the header; comm records are
-/// `#comm` lines with all fields in absolute ns (lossless round-trip).
+/// comment lines (tab-separated) after the header, discovered edges are
+/// `#edge <pred> <succ>` lines, and comm records are `#comm` lines with all
+/// fields in absolute ns (lossless round-trip).
 void write_trace_tsv(std::ostream& os, std::span<const TaskRecord> records,
+                     std::span<const TraceEdge> edges = {},
                      std::span<const AccessRecord> accesses = {},
                      std::span<const std::uint64_t> barriers = {},
                      std::span<const std::uint64_t> scope_clears = {},

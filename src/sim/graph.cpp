@@ -1,7 +1,5 @@
 #include "sim/graph.hpp"
 
-#include "core/common.hpp"
-
 namespace tdg::sim {
 
 std::vector<std::vector<std::uint32_t>> SimGraph::successors() const {
@@ -12,84 +10,34 @@ std::vector<std::vector<std::uint32_t>> SimGraph::successors() const {
   return succ;
 }
 
-void SimGraphBuilder::edge(std::uint32_t pred, std::uint32_t succ) {
-  if (pred == succ) return;
-  if (opts_.dedup_edges && last_succ_[pred] == static_cast<std::int64_t>(succ)) {
+std::uint32_t SimGraphBuilder::append(const SimTaskAttrs& attrs, int ndeps) {
+  graph_.tasks.push_back(SimTaskDesc{attrs, ndeps, {}});
+  last_succ_.push_back(-1);
+  return static_cast<std::uint32_t>(graph_.tasks.size() - 1);
+}
+
+EdgeOutcome SimGraphBuilder::discover_edge(std::uint32_t pred,
+                                           std::uint32_t succ) {
+  if (pred == succ) return EdgeOutcome::SelfSkip;
+  if (opts_.dedup_edges &&
+      last_succ_[pred] == static_cast<std::int64_t>(succ)) {
     ++graph_.duplicate_edges_skipped;
-    return;
+    return EdgeOutcome::Duplicate;
   }
   last_succ_[pred] = static_cast<std::int64_t>(succ);
   graph_.tasks[succ].preds.push_back(pred);
+  return EdgeOutcome::Created;
 }
 
-std::uint32_t SimGraphBuilder::make_redirect(AddrEntry& e) {
-  SimTaskAttrs attrs;
-  attrs.kind = SimTaskKind::Redirect;
-  attrs.label = "tdg::redirect";
-  graph_.tasks.push_back(SimTaskDesc{attrs, 0, {}});
-  last_succ_.push_back(-1);
-  const auto r = static_cast<std::uint32_t>(graph_.tasks.size() - 1);
+std::uint32_t SimGraphBuilder::make_internal_node() {
   ++graph_.redirect_nodes;
-  for (std::uint32_t m : e.last_mod) edge(m, r);
-  return r;
-}
-
-void SimGraphBuilder::edges_from_mod(AddrEntry& e, std::uint32_t succ) {
-  // Mirror of core/depend.cpp: a redirect over a generation containing
-  // succ itself would create an indirect self-cycle.
-  bool self_in_mod = false;
-  if (e.mod_is_set) {
-    for (std::uint32_t m : e.last_mod) self_in_mod |= (m == succ);
-  }
-  if (e.mod_is_set && opts_.inoutset_redirect && e.last_mod.size() > 1 &&
-      !self_in_mod) {
-    if (e.redirect < 0) e.redirect = make_redirect(e);
-    edge(static_cast<std::uint32_t>(e.redirect), succ);
-    return;
-  }
-  for (std::uint32_t m : e.last_mod) edge(m, succ);
+  return append({.kind = SimTaskKind::Redirect, .label = "tdg::redirect"}, 0);
 }
 
 std::uint32_t SimGraphBuilder::task(const SimTaskAttrs& attrs,
                                     std::span<const SimDep> deps) {
-  graph_.tasks.push_back(SimTaskDesc{attrs, static_cast<int>(deps.size()), {}});
-  last_succ_.push_back(-1);
-  const auto id = static_cast<std::uint32_t>(graph_.tasks.size() - 1);
-  for (const SimDep& d : deps) {
-    AddrEntry& e = entries_[d.addr];
-    switch (d.type) {
-      case DependType::In:
-        edges_from_mod(e, id);
-        e.readers.push_back(id);
-        break;
-      case DependType::Out:
-      case DependType::InOut:
-        edges_from_mod(e, id);
-        for (std::uint32_t r : e.readers) edge(r, id);
-        e.last_mod.clear();
-        e.gen_base.clear();
-        e.readers.clear();
-        e.redirect = -1;
-        e.mod_is_set = false;
-        e.last_mod.push_back(id);
-        break;
-      case DependType::InOutSet:
-        if (!e.mod_is_set) {
-          e.mod_is_set = true;
-          e.gen_base.clear();
-          std::swap(e.gen_base, e.last_mod);
-          for (std::uint32_t r : e.readers) e.gen_base.push_back(r);
-          e.readers.clear();
-          e.redirect = -1;
-        } else if (e.redirect >= 0) {
-          e.redirect = -1;  // generation grows: future consumers re-aggregate
-        }
-        for (std::uint32_t b : e.gen_base) edge(b, id);
-        for (std::uint32_t r : e.readers) edge(r, id);
-        e.last_mod.push_back(id);
-        break;
-    }
-  }
+  const std::uint32_t id = append(attrs, static_cast<int>(deps.size()));
+  map_.apply(id, deps, opts_);
   return id;
 }
 

@@ -1,17 +1,17 @@
 // Simulator task graphs: task descriptors with cost-model attributes, and a
-// builder that resolves depend clauses into edges with exactly the core
-// runtime's semantics (in/out/inout/inoutset, optimizations (b) and (c)).
-// Addresses are abstract 64-bit identities, so application graph generators
-// can be shared between the real runtime and the simulator.
+// builder that resolves depend clauses into edges with the core runtime's
+// resolver (core/depend.hpp, index instantiation), so both engines share
+// one implementation of in/out/inout/inoutset and optimizations (b), (c).
+// Addresses are abstract 64-bit identities (SimDep, core/depend_types.hpp),
+// so application graph generators can be shared between the real runtime
+// and the simulator.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/depend_types.hpp"
+#include "core/depend.hpp"
 
 namespace tdg::sim {
 
@@ -21,25 +21,6 @@ enum class SimTaskKind : std::uint8_t {
   Recv,       ///< posts a receive; completes at delivery
   Allreduce,  ///< posts a collective contribution
   Redirect,   ///< runtime-internal inoutset node (optimization (c))
-};
-
-/// Abstract depend-clause item on a logical address.
-struct SimDep {
-  std::uint64_t addr = 0;
-  DependType type = DependType::In;
-
-  static constexpr SimDep in(std::uint64_t a) {
-    return {a, DependType::In};
-  }
-  static constexpr SimDep out(std::uint64_t a) {
-    return {a, DependType::Out};
-  }
-  static constexpr SimDep inout(std::uint64_t a) {
-    return {a, DependType::InOut};
-  }
-  static constexpr SimDep inoutset(std::uint64_t a) {
-    return {a, DependType::InOutSet};
-  }
 };
 
 /// Cost-model attributes supplied by the application graph generator.
@@ -78,19 +59,16 @@ struct SimGraph {
   std::vector<std::vector<std::uint32_t>> successors() const;
 };
 
-/// Sequential-discovery dependency resolution on abstract addresses.
-/// Mirrors core/depend.cpp; kept index-based so graphs are cheap to build
-/// and replay. A divergence between the two implementations is caught by
-/// tests/test_sim_graph.cpp which compares edge sets on the same clauses.
-class SimGraphBuilder {
+/// Sequential-discovery dependency resolution on abstract addresses: the
+/// edge sink of the resolver's index instantiation, which owns the history
+/// and points back at the builder (hence no copy or move).
+class SimGraphBuilder final : private DiscoveryHooks<std::uint32_t> {
  public:
-  struct Options {
-    bool dedup_edges = true;        ///< optimization (b)
-    bool inoutset_redirect = true;  ///< optimization (c)
-  };
-
-  SimGraphBuilder() : SimGraphBuilder(Options{}) {}
-  explicit SimGraphBuilder(Options opts) : opts_(opts) {}
+  SimGraphBuilder() : SimGraphBuilder(DiscoveryOptions{}) {}
+  explicit SimGraphBuilder(const DiscoveryOptions& opts)
+      : opts_(opts), map_(*this) {}
+  SimGraphBuilder(const SimGraphBuilder&) = delete;
+  SimGraphBuilder& operator=(const SimGraphBuilder&) = delete;
 
   /// Append a task with the given depend clause; returns its index.
   std::uint32_t task(const SimTaskAttrs& attrs, std::span<const SimDep> deps);
@@ -100,7 +78,7 @@ class SimGraphBuilder {
   }
 
   /// Forget the access history (between independent phases).
-  void clear_scope() { entries_.clear(); }
+  void clear_scope() { map_.clear(); }
 
   /// Number of tasks added so far.
   std::uint32_t size() const {
@@ -110,22 +88,16 @@ class SimGraphBuilder {
   SimGraph take() { return std::move(graph_); }
 
  private:
-  struct AddrEntry {
-    std::vector<std::uint32_t> last_mod;
-    bool mod_is_set = false;
-    std::vector<std::uint32_t> gen_base;
-    std::vector<std::uint32_t> readers;
-    std::int64_t redirect = -1;
-  };
+  EdgeOutcome discover_edge(std::uint32_t pred, std::uint32_t succ) override;
+  std::uint32_t make_internal_node() override;
+  void seal_internal_node(std::uint32_t) override {}
+  /// Append a descriptor; returns its index.
+  std::uint32_t append(const SimTaskAttrs& attrs, int ndeps);
 
-  void edge(std::uint32_t pred, std::uint32_t succ);
-  void edges_from_mod(AddrEntry& e, std::uint32_t succ);
-  std::uint32_t make_redirect(AddrEntry& e);
-
-  Options opts_;
+  DiscoveryOptions opts_;
   SimGraph graph_;
-  std::unordered_map<std::uint64_t, AddrEntry> entries_;
   std::vector<std::int64_t> last_succ_;  ///< per-task last successor (opt b)
+  BasicDependencyMap<std::uint32_t> map_;
 };
 
 }  // namespace tdg::sim

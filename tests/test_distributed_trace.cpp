@@ -150,11 +150,12 @@ TEST(TraceMerge, MergedTraceRoundTripsThroughBothFormats) {
   }
   {
     std::ostringstream os;
-    write_trace_tsv(os, res.trace.records, res.trace.accesses, {}, {},
-                    res.trace.comms);
+    write_trace_tsv(os, res.trace.records, res.trace.edges,
+                    res.trace.accesses, {}, {}, res.trace.comms);
     std::istringstream is(os.str());
     const ParsedTrace back = parse_trace_tsv(is);
     ASSERT_EQ(back.records.size(), res.trace.records.size());
+    EXPECT_EQ(back.edges.size(), res.trace.edges.size());
     ASSERT_EQ(back.comms.size(), res.trace.comms.size());
     for (std::size_t i = 0; i < back.records.size(); ++i) {
       EXPECT_EQ(back.records[i].task_id, res.trace.records[i].task_id);

@@ -2,7 +2,9 @@
 // rendezvous), collectives, ordering and counters.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -35,15 +37,20 @@ TEST(Mpi, EagerPingPong) {
 TEST(Mpi, RendezvousTransfersLargeBuffer) {
   Universe::Options opts;
   opts.eager_threshold = 64;  // force rendezvous for this payload
-  Universe::run(2, [](Comm& comm) {
+  // The receive is posted only after the send: a receive posted first is
+  // matched by a direct copy, which counts as an eager send.
+  std::atomic<bool> sent{false};
+  Universe::run(2, [&sent](Comm& comm) {
     std::vector<double> buf(1024);
     if (comm.rank() == 0) {
       std::iota(buf.begin(), buf.end(), 0.0);
       Request r = comm.isend(buf.data(), buf.size() * sizeof(double), 1, 0);
+      sent.store(true, std::memory_order_release);
       comm.wait(r);
       EXPECT_EQ(comm.stats().rendezvous_sends, 1u);
       EXPECT_EQ(comm.stats().eager_sends, 0u);
     } else {
+      while (!sent.load(std::memory_order_acquire)) std::this_thread::yield();
       std::vector<double> got(1024, -1.0);
       comm.recv(got.data(), got.size() * sizeof(double), 0, 0);
       for (std::size_t i = 0; i < got.size(); ++i) {

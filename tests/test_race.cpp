@@ -382,8 +382,8 @@ TEST(RaceOffline, ClauseExtentsSurviveTheTraceRoundTrip) {
   rt.taskwait();
   std::ostringstream os;
   Profiler& prof = rt.profiler();
-  write_trace_tsv(os, prof.merged_trace(), prof.accesses(), prof.barriers(),
-                  prof.scope_clears());
+  write_trace_tsv(os, prof.merged_trace(), prof.edges(), prof.accesses(),
+                  prof.barriers(), prof.scope_clears());
   std::istringstream is(os.str());
   const ParsedTrace parsed = parse_trace_tsv(is);
   ASSERT_EQ(parsed.accesses.size(), 2u);

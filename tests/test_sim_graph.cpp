@@ -1,18 +1,19 @@
-// SimGraphBuilder: dependency semantics on abstract addresses, and parity
-// with the real runtime's DependencyMap on randomized clause sequences.
+// SimGraphBuilder: dependency semantics on abstract addresses, checked
+// against the verifier's independent shadow on randomized clause streams.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "core/tdg.hpp"
+#include "core/verify.hpp"
 #include "sim/graph.hpp"
 
 namespace {
 
-using tdg::Depend;
+using tdg::AccessRecord;
 using tdg::DependType;
-using tdg::Runtime;
+using tdg::TraceEdge;
+using tdg::VerifyReport;
 using tdg::sim::SimDep;
 using tdg::sim::SimGraph;
 using tdg::sim::SimGraphBuilder;
@@ -96,88 +97,64 @@ TEST(SimGraph, ClearScopeSeparatesPhases) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity with the real runtime: identical clause sequences must produce
-// identical edge/duplicate/redirect counts. This is the guarantee that the
-// simulator studies the *same* TDGs as the real runtime.
+// Property test against the verifier's independent shadow of the depend
+// semantics: on random clause streams, every edge set the builder produces
+// under any optimization setting orders every conflicting access pair, and
+// with dedup on and redirect off it is exactly the set of required pairs.
 // ---------------------------------------------------------------------------
 
-struct ParityParams {
-  bool dedup;
-  bool redirect;
-  std::uint64_t seed;
-};
-
-class GraphParity : public ::testing::TestWithParam<ParityParams> {};
-
-TEST_P(GraphParity, RandomClauseSequencesMatchRuntimeCounts) {
-  const auto p = GetParam();
+TEST(SimGraphOracle, RandomClauseStreamsSatisfyVerifier) {
   constexpr int kTasks = 400;
   constexpr int kAddrs = 12;
+  constexpr DependType kTypes[] = {DependType::In, DependType::Out,
+                                   DependType::InOut, DependType::InOutSet};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    std::uint64_t s = seed;
+    auto rnd = [&s](int mod) {
+      s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<int>((s >> 33) % static_cast<std::uint64_t>(mod));
+    };
+    std::vector<std::vector<SimDep>> clauses(kTasks);
+    for (auto& c : clauses) {
+      const int nitems = 1 + rnd(3);
+      for (int i = 0; i < nitems; ++i) {
+        c.push_back(SimDep{static_cast<std::uint64_t>(rnd(kAddrs)),
+                           kTypes[rnd(4)]});
+      }
+      // A member of an inoutset generation that also reads the address in
+      // the same clause must not be routed through its own redirect node.
+      if (rnd(8) == 0) {
+        const auto a = static_cast<std::uint64_t>(rnd(kAddrs));
+        c.push_back(SimDep::inoutset(a));
+        c.push_back(SimDep::in(a));
+      }
+    }
 
-  std::uint64_t s = p.seed;
-  auto rnd = [&s](int mod) {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<int>((s >> 33) % static_cast<std::uint64_t>(mod));
-  };
-
-  // Pre-generate the clause sequence so both consumers see the same one.
-  struct Clause {
-    std::vector<std::pair<int, DependType>> items;
-  };
-  std::vector<Clause> clauses(kTasks);
-  for (auto& c : clauses) {
-    const int nitems = 1 + rnd(3);
-    for (int i = 0; i < nitems; ++i) {
-      const DependType types[] = {DependType::In, DependType::Out,
-                                  DependType::InOut, DependType::InOutSet};
-      c.items.emplace_back(rnd(kAddrs), types[rnd(4)]);
+    for (const bool dedup : {true, false}) {
+      for (const bool redirect : {true, false}) {
+        SimGraphBuilder b(
+            {.dedup_edges = dedup, .inoutset_redirect = redirect});
+        std::vector<AccessRecord> accesses;
+        for (const auto& c : clauses) {
+          const std::uint32_t id = b.task(SimTaskAttrs{}, std::span(c));
+          for (const SimDep& d : c) accesses.push_back({id, d.addr, d.type});
+        }
+        const SimGraph g = b.take();
+        std::vector<TraceEdge> edges;
+        for (std::uint32_t t = 0; t < g.tasks.size(); ++t) {
+          for (std::uint32_t p : g.tasks[t].preds) edges.push_back({p, t});
+        }
+        const VerifyReport rep = tdg::verify_tdg(accesses, edges);
+        EXPECT_TRUE(rep.ok()) << "seed " << seed << " dedup " << dedup
+                              << " redirect " << redirect << "\n"
+                              << rep.summary();
+        if (dedup && !redirect) {
+          EXPECT_EQ(g.structural_edges(), rep.pairs_checked)
+              << "seed " << seed;
+        }
+      }
     }
   }
-
-  // Simulator-side.
-  SimGraphBuilder builder(
-      {.dedup_edges = p.dedup, .inoutset_redirect = p.redirect});
-  for (const auto& c : clauses) {
-    std::vector<SimDep> deps;
-    for (auto [addr, type] : c.items) {
-      deps.push_back(SimDep{static_cast<std::uint64_t>(addr + 1), type});
-    }
-    builder.task(SimTaskAttrs{}, std::span<const SimDep>(deps));
-  }
-  SimGraph g = builder.take();
-
-  // Runtime-side: single-threaded, no taskwait during submission, so no
-  // task executes and no edge is pruned.
-  Runtime::Config cfg;
-  cfg.num_threads = 1;
-  cfg.discovery.dedup_edges = p.dedup;
-  cfg.discovery.inoutset_redirect = p.redirect;
-  Runtime rt(cfg);
-  static double addr_pool[kAddrs];
-  for (const auto& c : clauses) {
-    std::vector<Depend> deps;
-    for (auto [addr, type] : c.items) {
-      deps.push_back(Depend{&addr_pool[addr], type});
-    }
-    rt.submit([] {}, std::span<const Depend>(deps));
-  }
-  const auto st = rt.stats();
-  EXPECT_EQ(st.discovery.edges_pruned, 0u) << "test precondition violated";
-  EXPECT_EQ(g.structural_edges(), st.discovery.edges_created);
-  EXPECT_EQ(g.duplicate_edges_skipped, st.discovery.edges_duplicate);
-  EXPECT_EQ(g.redirect_nodes, st.discovery.redirect_nodes);
-  EXPECT_EQ(g.tasks.size(),
-            static_cast<std::size_t>(st.tasks_created + st.internal_nodes));
-  rt.taskwait();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    OptionsAndSeeds, GraphParity,
-    ::testing::Values(ParityParams{true, true, 1},
-                      ParityParams{true, false, 2},
-                      ParityParams{false, true, 3},
-                      ParityParams{false, false, 4},
-                      ParityParams{true, true, 99},
-                      ParityParams{false, false, 99}));
 
 }  // namespace

@@ -257,7 +257,7 @@ TEST(TsvExport, CommRecordsAndRankRoundTripExactly) {
   rec[2].rank = 5;
   const auto comms = sample_comms();
   std::ostringstream os;
-  write_trace_tsv(os, rec, {}, {}, {}, comms);
+  write_trace_tsv(os, rec, {}, {}, {}, {}, comms);
 
   std::istringstream is(os.str());
   const ParsedTrace back = parse_trace_tsv(is);

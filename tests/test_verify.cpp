@@ -503,15 +503,24 @@ TEST(VerifyTraceRoundTrip, PerfettoCarriesVerificationStreams) {
 TEST(VerifyTraceRoundTrip, TsvCarriesVerificationStreams) {
   const auto rec = verification_records();
   const auto accesses = verification_accesses();
+  const std::vector<TraceEdge> edges = {{1, 2}, {1, 3}, {2, 3}};
   const std::vector<std::uint64_t> barriers = {1, 3};
   const std::vector<std::uint64_t> scope_clears = {3};
   std::ostringstream os;
-  write_trace_tsv(os, rec, accesses, barriers, scope_clears);
+  write_trace_tsv(os, rec, edges, accesses, barriers, scope_clears);
 
   std::istringstream is(os.str());
   const ParsedTrace back = parse_trace_tsv(is);
   ASSERT_EQ(back.records.size(), rec.size());
   expect_streams_roundtrip(back);
+  ASSERT_EQ(back.edges.size(), edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(back.edges[i].pred, edges[i].pred) << i;
+    EXPECT_EQ(back.edges[i].succ, edges[i].succ) << i;
+  }
+  const VerifyReport rep = verify_tdg(back.accesses, back.edges,
+                                      back.barriers, back.scope_clears);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
 }
 
 TEST(VerifyTraceRoundTrip, LegacyEightColumnTsvStillParses) {

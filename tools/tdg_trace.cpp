@@ -395,7 +395,7 @@ int cmd_export(const tdg::ParsedTrace& trace, const std::string& out_path,
     tdg::write_perfetto(body, trace.records, trace.edges, trace.accesses,
                         trace.barriers, trace.scope_clears, trace.comms);
   } else if (format == "tsv") {
-    tdg::write_trace_tsv(body, trace.records, trace.accesses,
+    tdg::write_trace_tsv(body, trace.records, trace.edges, trace.accesses,
                          trace.barriers, trace.scope_clears, trace.comms);
   } else {
     throw tdg::UsageError("unknown export format: " + format);
