@@ -3,6 +3,8 @@
 // factorizations, and the Section 4.4 graph properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/cholesky/cholesky.hpp"
 #include "core/tdg.hpp"
 
@@ -30,10 +32,13 @@ TEST(Cholesky, SingleTileEqualsDensePotrf) {
 }
 
 struct CholParams {
+  // gtest names each instance by a byte dump of this struct, so it must
+  // hold no padding: padding bytes are indeterminate and would change the
+  // test names from one build to the next.
   int nt;
   int b;
   unsigned threads;
-  bool persistent;
+  std::uint32_t persistent;  // a flag, 4 bytes wide to leave no padding
   int iterations;
 };
 

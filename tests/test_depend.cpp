@@ -3,6 +3,7 @@
 // elimination and (c) inoutset redirection (Section 3.1, Figs. 3-4).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -176,9 +177,13 @@ TEST(Depend, PrunedEdgeToFinishedPredecessor) {
 // --- inoutset ---------------------------------------------------------------
 
 struct SetParams {
+  // gtest names each instance by a byte dump of this struct, so it must
+  // hold no padding: padding bytes are indeterminate and would change the
+  // test names from one build to the next.
   int m;  // concurrent writers
   int n;  // consumers
   bool redirect;
+  std::uint8_t pad[3]{};
 };
 
 class InOutSetEdges : public ::testing::TestWithParam<SetParams> {};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "apps/hpcg/hpcg.hpp"
 #include "core/tdg.hpp"
@@ -59,9 +60,12 @@ TEST(Hpcg, ReferenceCgConvergesToOnes) {
 }
 
 struct HpcgParams {
+  // gtest names each instance by a byte dump of this struct, so it must
+  // hold no padding: padding bytes are indeterminate and would change the
+  // test names from one build to the next.
   int tpl;
   int nspmv;
-  bool persistent;
+  std::uint32_t persistent;  // a flag, 4 bytes wide to leave no padding
   unsigned threads;
 };
 

@@ -310,12 +310,30 @@ TEST(Multitenant, SubmitBatchVectorApi) {
 
 // The throttle config acts as a per-tenant admission quota: a tenant
 // drowning in its own backlog self-helps (throttle stalls recorded) while
-// a sibling with default quotas sails through untouched.
+// a sibling with default quotas sails through untouched. Every pool worker
+// is plugged while the producer submits, so the quota's backlog exceeds its
+// limit whatever the schedule: otherwise fast workers can drain the empty
+// tasks before 64 are live and the quota never stalls.
 TEST(Multitenant, AdmissionQuotaPerTenant) {
   WorkerPool::Config pc;
   pc.num_workers = 2;
-  pc.max_tenants = 2;
+  pc.max_tenants = 3;  // quota, free, and the plug tenant
   WorkerPool pool(pc);
+
+  std::atomic<int> plugs_running{0};
+  std::atomic<bool> open{false};
+  Runtime plug_rt(tenant_cfg(pool));
+  for (unsigned i = 0; i < pool.num_workers(); ++i) {
+    plug_rt.submit(
+        [&plugs_running, &open] {
+          plugs_running.fetch_add(1);
+          while (!open.load()) std::this_thread::yield();
+        },
+        {});
+  }
+  while (plugs_running.load() != static_cast<int>(pool.num_workers())) {
+    std::this_thread::yield();
+  }
 
   Runtime::Config qcfg = tenant_cfg(pool);
   qcfg.throttle.max_total = 64;  // tiny quota: throttles constantly
@@ -328,6 +346,8 @@ TEST(Multitenant, AdmissionQuotaPerTenant) {
     quota.submit([&] { ++qhits; }, {});
     free_rt.submit([&] { ++fhits; }, {});
   }
+  open.store(true);
+  plug_rt.taskwait();
   quota.taskwait();
   free_rt.taskwait();
   EXPECT_EQ(qhits.load(), 2000);
