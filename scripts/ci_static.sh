@@ -18,6 +18,9 @@
 #      submitters on a shared pool.
 #   6. tdg-trace verify / race / tdg-lint smoke on a freshly recorded
 #      trace, and tdg-trace verify on a TSV recording of the same run.
+#   7. (first, before the build) one environment surface: no getenv in
+#      src/ or tools/ outside src/core/env.cpp, which parses every TDG_*
+#      variable.
 #
 # Usage: scripts/ci_static.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -26,6 +29,13 @@ cd "$(dirname "$0")/.."
 
 dir=${1:-build}
 jobs=$(nproc 2>/dev/null || echo 2)
+
+echo "=== [static] single environment reader ==="
+if stray=$(grep -rn getenv src tools | grep -v '^src/core/env\.cpp:'); then
+  echo "getenv outside src/core/env.cpp (use read_env()):" >&2
+  echo "$stray" >&2
+  exit 1
+fi
 
 echo "=== [static] configure ($dir) ==="
 cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "core/common.hpp"
 #include "core/error.hpp"
 
 namespace tdg::apps::taskbench {
@@ -16,17 +17,11 @@ namespace {
 // emits identical clauses on every engine, every iteration and every replay.
 // ---------------------------------------------------------------------------
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t task_hash(std::uint64_t seed, int step, int point, int salt) {
-  std::uint64_t h = mix64(seed ^ (static_cast<std::uint64_t>(step) << 32 |
-                                  static_cast<std::uint32_t>(point)));
-  return mix64(h ^ static_cast<std::uint64_t>(salt));
+  std::uint64_t h =
+      splitmix64(seed ^ (static_cast<std::uint64_t>(step) << 32 |
+                         static_cast<std::uint32_t>(point)));
+  return splitmix64(h ^ static_cast<std::uint64_t>(salt));
 }
 
 /// Uniform draw in [0, 1).

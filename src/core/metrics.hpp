@@ -27,12 +27,6 @@ namespace tdg {
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
-/// `TDG_METRICS` environment switch: `off`/`0`/`false` disables collection,
-/// `dump` additionally emits a text report on Runtime/Universe teardown,
-/// anything else (including unset) leaves the Config default in charge.
-enum class MetricsEnvMode { Default, Off, On, Dump };
-MetricsEnvMode metrics_env_mode();
-
 /// Point-in-time copy of every registered metric, summed across shards.
 struct MetricsSnapshot {
   struct Entry {

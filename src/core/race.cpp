@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -31,25 +30,6 @@ void append_hex(std::string& s, std::uint64_t v) {
   s += buf;
 }
 
-/// splitmix64: the sampling hash. Bijective and well-mixed, so "every Nth
-/// task" is a uniform pseudo-random subset that is still a pure function
-/// of (seed, id) — two runs with the same seed sample the same set.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v;
-}
-
 RaceOptions sanitize(RaceOptions o) {
   if (o.sample_tasks == 0) o.sample_tasks = 1;
   if (o.sample_addrs == 0) o.sample_addrs = 1;
@@ -66,48 +46,6 @@ std::uint64_t range_end(std::uint64_t addr, std::uint32_t bytes) {
 }
 
 }  // namespace
-
-const char* race_mode_name(RaceMode mode) {
-  switch (mode) {
-    case RaceMode::Off:
-      return "off";
-    case RaceMode::Sample:
-      return "sample";
-    case RaceMode::Strict:
-      return "strict";
-  }
-  return "?";
-}
-
-RaceOptions race_env_options() {
-  RaceOptions o;
-  const char* s = std::getenv("TDG_RACE");
-  if (s == nullptr || *s == '\0' || std::strcmp(s, "off") == 0) {
-    o.mode = RaceMode::Off;
-    return o;
-  }
-  if (std::strcmp(s, "sample") == 0) {
-    o.mode = RaceMode::Sample;
-    // Production default: shadow-check 1 task in 16 (all of its clauses).
-    o.sample_tasks = 16;
-  } else if (std::strcmp(s, "strict") == 0) {
-    o.mode = RaceMode::Strict;
-    o.sample_tasks = 1;
-  } else {
-    std::fprintf(stderr,
-                 "tdg: unknown TDG_RACE mode '%s' "
-                 "(expected off|sample|strict); race detection off\n",
-                 s);
-    o.mode = RaceMode::Off;
-    return o;
-  }
-  o.sample_tasks = env_u64("TDG_RACE_SAMPLE_TASKS", o.sample_tasks);
-  o.sample_addrs = env_u64("TDG_RACE_SAMPLE_ADDRS", o.sample_addrs);
-  o.seed = env_u64("TDG_RACE_SEED", o.seed);
-  o.clock_lanes = static_cast<unsigned>(
-      env_u64("TDG_RACE_LANES", o.clock_lanes));
-  return sanitize(o);
-}
 
 std::string RaceFlag::to_string() const {
   std::string s = kind == Kind::SameBase ? "race[same-base] addr "
@@ -246,14 +184,16 @@ RaceDetector::~RaceDetector() {
 bool RaceDetector::would_sample_task(std::uint64_t id) const {
   if (opts_.mode == RaceMode::Off) return false;
   if (opts_.sample_tasks <= 1) return true;
-  return mix64(opts_.seed ^ id) % opts_.sample_tasks == 0;
+  // splitmix64 is bijective, so "every Nth task" is a uniform subset that
+  // is a pure function of (seed, id): equal seeds sample equal sets.
+  return splitmix64(opts_.seed ^ id) % opts_.sample_tasks == 0;
 }
 
 bool RaceDetector::would_sample_addr(std::uint64_t addr) const {
   if (opts_.sample_addrs <= 1) return true;
   // Mix the seed in at a different rotation than the task hash so the
   // task and address subsets are independent.
-  return mix64((opts_.seed << 1 | 1) ^ addr) % opts_.sample_addrs == 0;
+  return splitmix64((opts_.seed << 1 | 1) ^ addr) % opts_.sample_addrs == 0;
 }
 
 RaceDetector::ClockRec* RaceDetector::find_clock(std::uint64_t id) const {
@@ -402,9 +342,9 @@ void RaceDetector::flag(RaceFlag::Kind kind, const ShadowAccess& prior,
                         std::vector<std::string>& live_lines) {
   // One flag per (pred, succ, entry) triple: the same unordered pair would
   // otherwise flag once per clause item touching the address.
-  const std::uint64_t key =
-      mix64(prior.task_id) ^ mix64(succ_id * 0x9e3779b97f4a7c15ull) ^
-      entry_addr;
+  const std::uint64_t key = splitmix64(prior.task_id) ^
+                            splitmix64(succ_id * 0x9e3779b97f4a7c15ull) ^
+                            entry_addr;
   if (std::find(flag_keys_.begin(), flag_keys_.end(), key) !=
       flag_keys_.end()) {
     return;

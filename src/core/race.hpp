@@ -51,20 +51,12 @@
 
 #include "core/common.hpp"
 #include "core/depend_types.hpp"
+#include "core/env.hpp"
 #include "core/profiler.hpp"
 #include "core/slab.hpp"
 #include "core/verify.hpp"
 
 namespace tdg {
-
-/// `TDG_RACE` runtime switch.
-///   off    — no clocks, no shadow table (default).
-///   sample — flags are reported to stderr, execution continues.
-///   strict — flagged windows are escalated through the offline verifier
-///            at the next taskwait and raise tdg::RaceError.
-enum class RaceMode : std::uint8_t { Off, Sample, Strict };
-
-const char* race_mode_name(RaceMode mode);
 
 struct RaceOptions {
   RaceMode mode = RaceMode::Off;
@@ -83,12 +75,6 @@ struct RaceOptions {
   /// Report flags to stderr the moment they are raised.
   bool live_report = true;
 };
-
-/// Parse TDG_RACE / TDG_RACE_SAMPLE_TASKS / TDG_RACE_SAMPLE_ADDRS /
-/// TDG_RACE_SEED into options. Unset TDG_RACE leaves mode = Off;
-/// mode `sample` defaults to sample_tasks 16 (overridable), `strict`
-/// to 1 (check everything).
-RaceOptions race_env_options();
 
 /// One happens-before violation flagged by the shadow table.
 struct RaceFlag {

@@ -101,37 +101,28 @@ Runtime::Runtime(Config cfg)
       dep_map_(*static_cast<DiscoveryHooks<Task*>*>(this)) {
   watchdog_.add_diagnostic(
       [this](std::string& out) { runtime_diagnostic(out); });
-  // Environment overrides (see Config::metrics): TDG_METRICS gates
-  // collection, TDG_TRACE force-enables tracing and selects the teardown
-  // export format.
-  bool metrics_on = cfg_.metrics;
-  switch (metrics_env_mode()) {
-    case MetricsEnvMode::Off: metrics_on = false; break;
-    case MetricsEnvMode::On: metrics_on = true; break;
-    case MetricsEnvMode::Dump:
-      metrics_on = true;
-      metrics_dump_ = true;
-      break;
-    case MetricsEnvMode::Default: break;
+  // Environment overrides (core/env.hpp): a valid TDG_* value replaces
+  // the Config field it names; unset or rejected values leave it alone.
+  env_ = read_env();
+  const bool metrics_on =
+      env_.metrics ? *env_.metrics != EnvSwitch::Off : cfg_.metrics;
+  if (env_.tracing()) cfg_.trace = true;
+  if (env_.verify) cfg_.verify = *env_.verify;
+  if (env_.race) {  // fresh options; `sample` checks 1 task in 16
+    RaceOptions& o = cfg_.race = RaceOptions{};
+    o.mode = *env_.race;
+    o.sample_tasks = env_.race_sample_tasks.value_or(
+        o.mode == RaceMode::Sample ? 16 : 1);
+    o.sample_addrs = env_.race_sample_addrs.value_or(o.sample_addrs);
+    o.seed = env_.race_seed.value_or(o.seed);
+    o.clock_lanes =
+        static_cast<unsigned>(env_.race_lanes.value_or(o.clock_lanes));
   }
-  trace_env_ = trace_env_config();
-  if (trace_env_.mode != TraceMode::Off) cfg_.trace = true;
-  // TDG_VERIFY (off|post|strict) overrides Config::verify; any checking
-  // mode needs the clause/edge/barrier capture, so it forces trace
-  // collection on (the teardown file export stays gated on TDG_TRACE).
-  switch (verify_env_mode()) {
-    case VerifyEnvMode::Off: cfg_.verify = VerifyMode::Off; break;
-    case VerifyEnvMode::Post: cfg_.verify = VerifyMode::Post; break;
-    case VerifyEnvMode::Strict: cfg_.verify = VerifyMode::Strict; break;
-    case VerifyEnvMode::Default: break;
+  // Verification and strict race escalation replay the clause/edge/barrier
+  // capture (the file export stays gated on TDG_TRACE).
+  if (cfg_.verify != VerifyMode::Off || cfg_.race.mode == RaceMode::Strict) {
+    cfg_.trace = true;
   }
-  if (cfg_.verify != VerifyMode::Off) cfg_.trace = true;
-  // TDG_RACE (off|sample|strict) replaces Config::race when set. Strict
-  // escalation replays the offline verifier over the profiler streams at
-  // the next taskwait, so it forces trace capture on; sample mode stays
-  // capture-free (the detector's own state is all it needs).
-  if (std::getenv("TDG_RACE") != nullptr) cfg_.race = race_env_options();
-  if (cfg_.race.mode == RaceMode::Strict) cfg_.trace = true;
   timed_ = metrics_on || cfg_.trace;
   // Slot layout: 0 is the producer, 1..num_workers are the pool workers —
   // identical to the pre-pool slot numbering for a solo runtime.
@@ -213,15 +204,15 @@ void Runtime::finalize_observability() {
   // Trace export (TDG_TRACE): workers have joined, the record stream is
   // quiescent. Later runtimes in the same process (e.g. one per Universe
   // rank) get sequence-numbered files so they do not clobber each other.
-  if (trace_env_.mode != TraceMode::Off) {
+  if (env_.tracing()) {
     const std::vector<TaskRecord> records = profiler_->merged_trace();
     const std::vector<CommRecord> comms = profiler_->comm_records();
     if (!records.empty() || !comms.empty()) {
       static std::atomic<int> seq{0};
       const int k = seq.fetch_add(1, std::memory_order_relaxed);
       const char* ext =
-          trace_env_.mode == TraceMode::Perfetto ? "json" : "tsv";
-      std::string path = trace_env_.path;
+          env_.trace == TraceMode::Perfetto ? "json" : "tsv";
+      std::string path = env_.trace_file;
       if (path.empty()) {
         path = k == 0 ? std::string("tdg_trace.") + ext
                       : "tdg_trace." + std::to_string(k) + "." + ext;
@@ -230,7 +221,7 @@ void Runtime::finalize_observability() {
       }
       std::ofstream os(path);
       if (os) {
-        if (trace_env_.mode == TraceMode::Perfetto) {
+        if (env_.trace == TraceMode::Perfetto) {
           // Base pid = this runtime's rank so per-rank files from one
           // Universe land on distinct process tracks even before merging.
           PerfettoOptions popts;
@@ -253,7 +244,7 @@ void Runtime::finalize_observability() {
       }
     }
   }
-  if (metrics_dump_ && metrics_->enabled()) {
+  if (env_.metrics_dump() && metrics_->enabled()) {
     // Shared-pool tenants tag every row with their tenant id (the
     // `tenant=<id>` dimension); the pool prints the untagged aggregate at
     // its own teardown, so existing parsers keep seeing plain totals. A
@@ -266,7 +257,8 @@ void Runtime::finalize_observability() {
       metrics_->snapshot().write_text(os, /*nonzero_only=*/true, tenant);
       text = os.str();
     }
-    std::fprintf(stderr, "tdg: metrics at teardown:\n%s", text.c_str());
+    std::fprintf(stderr, "tdg: env %s\ntdg: metrics at teardown:\n%s",
+                 env_.describe().c_str(), text.c_str());
   }
 }
 

@@ -26,6 +26,7 @@
 #include "core/common.hpp"
 #include "core/depend.hpp"
 #include "core/deque.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/metrics.hpp"
 #include "core/profiler.hpp"
@@ -156,8 +157,8 @@ class Runtime : public DiscoveryHooks<Task*> {
     /// flagged windows through the offline verifier at the next taskwait
     /// (forcing `trace` on for the capture) and throws tdg::RaceError on
     /// confirmation. The TDG_RACE environment variable
-    /// (off|sample|strict, plus TDG_RACE_SAMPLE_TASKS/SAMPLE_ADDRS/SEED)
-    /// overrides this field entirely when set.
+    /// (off|sample|strict, plus TDG_RACE_SAMPLE_TASKS/SAMPLE_ADDRS/SEED/
+    /// LANES) replaces this field entirely when set to a valid mode.
     RaceOptions race;
     /// Attach to a shared WorkerPool (multi-tenant mode) instead of
     /// constructing a private worker team. The pool must outlive the
@@ -468,8 +469,7 @@ class Runtime : public DiscoveryHooks<Task*> {
   Config cfg_;
   std::unique_ptr<MetricsRegistry> metrics_;
   RuntimeMetricIds m_;
-  TraceEnvConfig trace_env_;
-  bool metrics_dump_ = false;
+  EnvConfig env_;  ///< TDG_* as read at construction (used at teardown)
   /// Timeline stamps (t_create/t_ready/t_start/t_end and the profiler's
   /// work/overhead/idle attribution) cost a clock read each — several per
   /// task lifecycle, which dominates discovery-rate microbenches. They are

@@ -36,12 +36,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <vector>
 
 #include "core/common.hpp"
+#include "core/env.hpp"
 
 namespace tdg {
 
@@ -116,7 +116,7 @@ class ChunkCache {
     SpinLock lock;
     std::vector<Item> items;
     std::size_t cached_bytes = 0;
-    std::size_t cap_bytes = cap_from_env();
+    std::size_t cap_bytes = chunk_cache_cap_bytes(kDefaultCapBytes);
   };
   /// Intentionally never destroyed: arenas may retire chunks during static
   /// destruction, and the live pointer keeps retained chunks reachable
@@ -124,14 +124,6 @@ class ChunkCache {
   static Impl& impl() {
     static Impl* im = new Impl();
     return *im;
-  }
-  static std::size_t cap_from_env() {
-    const char* s = std::getenv("TDG_CHUNK_CACHE_MB");
-    if (s == nullptr || *s == '\0') return kDefaultCapBytes;
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(s, &end, 10);
-    if (end == s) return kDefaultCapBytes;
-    return static_cast<std::size_t>(mb) << 20;
   }
 };
 

@@ -1,33 +1,17 @@
 #include "core/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 namespace tdg {
 
-TelemetryConfig telemetry_env_config() {
+TelemetryConfig telemetry_config(const EnvConfig& env) {
   TelemetryConfig cfg;
-  const char* mode = std::getenv("TDG_TELEMETRY");
-  if (mode != nullptr) {
-    if (std::strcmp(mode, "on") == 0 || std::strcmp(mode, "1") == 0 ||
-        std::strcmp(mode, "true") == 0) {
-      cfg.enabled = true;
-    } else if (std::strcmp(mode, "dump") == 0) {
-      cfg.enabled = true;
-      cfg.dump = true;
-    }
-    // anything else (off, 0, empty, typos) leaves telemetry off
-  }
-  if (const char* path = std::getenv("TDG_TELEMETRY_FILE");
-      path != nullptr && *path != '\0') {
-    cfg.path = path;
-  }
-  if (const char* period = std::getenv("TDG_TELEMETRY_PERIOD_MS");
-      period != nullptr && *period != '\0') {
-    const long ms = std::strtol(period, nullptr, 10);
-    if (ms > 0) cfg.period_ns = static_cast<std::uint64_t>(ms) * 1'000'000;
+  cfg.enabled = env.telemetry.value_or(EnvSwitch::Off) != EnvSwitch::Off;
+  cfg.dump = env.telemetry == EnvSwitch::Dump;
+  if (!env.telemetry_file.empty()) cfg.path = env.telemetry_file;
+  if (env.telemetry_period_ms) {
+    cfg.period_ns = *env.telemetry_period_ms * 1'000'000;
   }
   return cfg;
 }

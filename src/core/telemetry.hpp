@@ -7,9 +7,9 @@
 // so chaos-soak runs show *when* retransmits and poisonings happened, not
 // just final counts.
 //
-// Environment: TDG_TELEMETRY=on|dump (off by default; dump also writes the
-// JSON file), TDG_TELEMETRY_FILE=<path> (default telemetry.json),
-// TDG_TELEMETRY_PERIOD_MS=<ms> (default 5).
+// Environment (parsed by core/env): TDG_TELEMETRY=on|dump (off by default;
+// dump also writes the JSON file), TDG_TELEMETRY_FILE=<path> (default
+// telemetry.json), TDG_TELEMETRY_PERIOD_MS=<ms> (default 5).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/common.hpp"
+#include "core/env.hpp"
 
 namespace tdg {
 
@@ -47,8 +48,8 @@ struct TelemetryConfig {
   std::string path = "telemetry.json";
 };
 
-/// Parse the TDG_TELEMETRY* environment (see the header comment).
-TelemetryConfig telemetry_env_config();
+/// The defaults with the TDG_TELEMETRY* values of `env` applied.
+TelemetryConfig telemetry_config(const EnvConfig& env);
 
 /// Fixed-capacity sample ring: the oldest sample is overwritten once full,
 /// bounding memory like the paper bounds trace size by DRAM. push() is

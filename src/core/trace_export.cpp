@@ -19,28 +19,6 @@
 namespace tdg {
 
 // ---------------------------------------------------------------------------
-// Environment configuration
-// ---------------------------------------------------------------------------
-
-TraceEnvConfig trace_env_config() {
-  TraceEnvConfig cfg;
-  const char* mode = std::getenv("TDG_TRACE");
-  if (mode != nullptr) {
-    if (std::strcmp(mode, "perfetto") == 0 ||
-        std::strcmp(mode, "json") == 0) {
-      cfg.mode = TraceMode::Perfetto;
-    } else if (std::strcmp(mode, "tsv") == 0) {
-      cfg.mode = TraceMode::Tsv;
-    }
-    // anything else (off, 0, empty, typos) leaves tracing off
-  }
-  if (const char* path = std::getenv("TDG_TRACE_FILE"); path != nullptr) {
-    cfg.path = path;
-  }
-  return cfg;
-}
-
-// ---------------------------------------------------------------------------
 // Perfetto writer
 // ---------------------------------------------------------------------------
 

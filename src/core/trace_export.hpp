@@ -24,20 +24,6 @@
 
 namespace tdg {
 
-/// `TDG_TRACE` environment switch.
-enum class TraceMode : std::uint8_t { Off, Tsv, Perfetto };
-
-struct TraceEnvConfig {
-  TraceMode mode = TraceMode::Off;
-  /// Output path from `TDG_TRACE_FILE`; empty = auto ("tdg_trace.json" /
-  /// "tdg_trace.tsv", suffixed with a sequence number for later runtimes
-  /// in the same process).
-  std::string path;
-};
-
-/// Parse TDG_TRACE (perfetto | tsv | off, default off) and TDG_TRACE_FILE.
-TraceEnvConfig trace_env_config();
-
 struct PerfettoOptions {
   /// Base process-id track. Each task slice lands on pid + record.rank and
   /// each comm slice on its recording rank, so a single-rank runtime sets

@@ -1,7 +1,6 @@
 #include "core/verify.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -304,16 +303,6 @@ std::string VerifyReport::summary() const {
      << races_total << " violation(s)"
      << (ok() ? " -- TDG is sound" : "");
   return os.str();
-}
-
-VerifyEnvMode verify_env_mode() {
-  const char* v = std::getenv("TDG_VERIFY");
-  if (v == nullptr) return VerifyEnvMode::Default;
-  const std::string s(v);
-  if (s == "off") return VerifyEnvMode::Off;
-  if (s == "post") return VerifyEnvMode::Post;
-  if (s == "strict") return VerifyEnvMode::Strict;
-  return VerifyEnvMode::Default;
 }
 
 VerifyReport verify_tdg(std::span<const AccessRecord> accesses,

@@ -26,21 +26,10 @@
 #include <vector>
 
 #include "core/depend_types.hpp"
+#include "core/env.hpp"
 #include "core/profiler.hpp"
 
 namespace tdg {
-
-/// `TDG_VERIFY` runtime switch.
-///   off    — no capture, no checking (default).
-///   post   — the checker runs at every taskwait / end_iteration;
-///            violations are reported to stderr, execution continues.
-///   strict — violations raise tdg::VerifyError at the taskwait.
-enum class VerifyMode : std::uint8_t { Off, Post, Strict };
-
-/// Parse TDG_VERIFY (off | post | strict; anything else = Default, which
-/// leaves the Config value in charge).
-enum class VerifyEnvMode : std::uint8_t { Default, Off, Post, Strict };
-VerifyEnvMode verify_env_mode();
 
 struct VerifyOptions {
   /// Cap on the findings materialized in the report (the totals keep

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/env.hpp"
 #include "core/runtime.hpp"
 #include "core/task.hpp"
 
@@ -36,7 +37,7 @@ WorkerPool::WorkerPool(Config cfg, Runtime* solo)
       tenants_(clamp_tenants(cfg.max_tenants)) {
   cfg_.max_tenants = static_cast<unsigned>(tenants_.size());
   cfg_.num_workers = resolve_workers(cfg_.num_workers);
-  metrics_dump_ = metrics_env_mode() == MetricsEnvMode::Dump;
+  metrics_dump_ = solo == nullptr && read_env().metrics_dump();
   const unsigned nw = cfg_.num_workers;
   deques_.reserve(nw);
   for (unsigned i = 0; i < nw; ++i) {

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "core/common.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/profiler.hpp"
 
@@ -34,7 +35,7 @@ RequestPoller::RequestPoller(Runtime& rt, Comm* comm)
     // Trace records and Perfetto tracks are keyed by rank; stamp the
     // profiler so TaskRecords carry it.
     rt_->profiler().set_rank(comm_->rank());
-    telem_cfg_ = telemetry_env_config();
+    telem_cfg_ = telemetry_config(read_env());
     if (telem_cfg_.enabled) {
       m_exec_tasks_ = m.counter("exec.tasks");
       telem_ring_ = TelemetryHub::instance().attach(comm_->rank(),

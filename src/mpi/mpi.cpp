@@ -12,9 +12,9 @@
 #include <fstream>
 
 #include "core/common.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/metrics.hpp"
-#include "core/trace_export.hpp"
 
 namespace tdg::mpi {
 namespace detail {
@@ -30,16 +30,6 @@ double reduce_one(Op op, double a, double b) {
       return a + b;
   }
   return a;
-}
-
-// Counter-based splitmix64: stateless hash of (seed, rank, sequence), so
-// fault decisions depend only on a rank's own send sequence — deterministic
-// across thread interleavings.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 double to_unit(std::uint64_t n) {
@@ -190,9 +180,9 @@ struct World {
   double draw(int rank) {
     const std::uint64_t c =
         rank_state(rank).fault_seq.fetch_add(1, std::memory_order_relaxed);
-    return to_unit(mix64(faults.seed ^
-                         mix64(static_cast<std::uint64_t>(rank) ^
-                               mix64(c))));
+    return to_unit(splitmix64(faults.seed ^
+                              splitmix64(static_cast<std::uint64_t>(rank) ^
+                                         splitmix64(c))));
   }
 
   /// Loss draw for a retransmission attempt: keyed by the message identity
@@ -201,10 +191,10 @@ struct World {
   double retransmit_draw(int rank, int dst, int tag, std::uint64_t seq,
                          int attempt) {
     std::uint64_t h = faults.seed ^ 0x7265747279ULL;  // "retry"
-    h = mix64(h ^ (static_cast<std::uint64_t>(rank) << 32 |
-                   static_cast<std::uint32_t>(dst)));
-    h = mix64(h ^ skey(tag, static_cast<int>(seq)));
-    h = mix64(h ^ static_cast<std::uint64_t>(attempt));
+    h = splitmix64(h ^ (static_cast<std::uint64_t>(rank) << 32 |
+                        static_cast<std::uint32_t>(dst)));
+    h = splitmix64(h ^ skey(tag, static_cast<int>(seq)));
+    h = splitmix64(h ^ static_cast<std::uint64_t>(attempt));
     return to_unit(h);
   }
 
@@ -1242,11 +1232,10 @@ ReliableStats Comm::reliable_stats() const {
 void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
                    Options opts, Report* report) {
   TDG_REQUIRE(nranks > 0, "Universe requires at least one rank");
-  if (const char* env = std::getenv("TDG_FAULTS")) {
-    if (*env != '\0' && !parse_fault_spec(env, opts.faults)) {
-      std::fprintf(stderr, "tdg: malformed TDG_FAULTS spec '%s' ignored\n",
-                   env);
-    }
+  const EnvConfig env = read_env();
+  if (!env.faults.empty() && !parse_fault_spec(env.faults, opts.faults)) {
+    std::fprintf(stderr, "tdg: malformed TDG_FAULTS spec '%s' ignored\n",
+                 env.faults.c_str());
   }
   detail::World world;
   world.nranks = nranks;
@@ -1259,8 +1248,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
   world.hb = opts.heartbeat;
   // Comm tracing follows the trace env so `TDG_TRACE=perfetto mpirun ...`
   // just works; opts.comm_trace forces it on for tests.
-  world.comm_trace =
-      opts.comm_trace || trace_env_config().mode != TraceMode::Off;
+  world.comm_trace = opts.comm_trace || env.tracing();
   world.resilient = world.kills_configured || world.reliable.enabled ||
                     world.hb.enabled;
   world.rel_timeout_ns =
@@ -1303,7 +1291,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
     });
   }
   for (auto& t : threads) t.join();
-  if (metrics_env_mode() == MetricsEnvMode::Dump) {
+  if (env.metrics_dump()) {
     std::fprintf(stderr, "tdg: universe comm stats (%d ranks)\n", nranks);
     for (int r = 0; r < nranks; ++r) {
       const CommStats& s = rank_stats[static_cast<std::size_t>(r)];
@@ -1321,7 +1309,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
   // Drain unconditionally so successive universes in one process never
   // inherit each other's telemetry series.
   {
-    const TelemetryConfig tcfg = telemetry_env_config();
+    const TelemetryConfig tcfg = telemetry_config(env);
     std::vector<RankTelemetry> telem = TelemetryHub::instance().drain();
     if (tcfg.dump && !telem.empty()) {
       std::ofstream os(tcfg.path);

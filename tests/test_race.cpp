@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/taskbench/taskbench.hpp"
+#include "core/env.hpp"
 #include "core/race.hpp"
 #include "core/tdg.hpp"
 #include "core/verify.hpp"
@@ -28,25 +29,39 @@ Runtime::Config race_config(RaceMode mode, int threads = 1) {
 }
 
 // --- env parsing ------------------------------------------------------------
+// TDG_RACE* are read by read_env() at Runtime construction; the mode
+// defaults (sample: every 16th task, strict: everything) are applied there.
+
+RaceOptions env_race_options() {
+  Runtime::Config cfg;
+  cfg.num_threads = 1;
+  Runtime rt(cfg);
+  return rt.config().race;
+}
 
 TEST(RaceEnv, UnsetAndOffLeaveModeOff) {
   unsetenv("TDG_RACE");
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);
+  EXPECT_FALSE(read_env().race.has_value());
+  EXPECT_EQ(env_race_options().mode, RaceMode::Off);
   setenv("TDG_RACE", "off", 1);
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);
+  EXPECT_EQ(read_env().race, RaceMode::Off);
+  EXPECT_EQ(env_race_options().mode, RaceMode::Off);
   setenv("TDG_RACE", "garbage", 1);
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);  // unknown -> off
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(read_env().race.has_value());  // unknown -> unset
+  EXPECT_EQ(env_race_options().mode, RaceMode::Off);
+  testing::internal::GetCapturedStderr();
   unsetenv("TDG_RACE");
 }
 
 TEST(RaceEnv, SampleAndStrictDefaultsAndOverrides) {
   setenv("TDG_RACE", "sample", 1);
-  RaceOptions o = race_env_options();
+  RaceOptions o = env_race_options();
   EXPECT_EQ(o.mode, RaceMode::Sample);
   EXPECT_EQ(o.sample_tasks, 16u);  // sample default: every 16th task
 
   setenv("TDG_RACE", "strict", 1);
-  o = race_env_options();
+  o = env_race_options();
   EXPECT_EQ(o.mode, RaceMode::Strict);
   EXPECT_EQ(o.sample_tasks, 1u);  // strict default: check everything
   EXPECT_EQ(o.sample_addrs, 1u);
@@ -54,7 +69,7 @@ TEST(RaceEnv, SampleAndStrictDefaultsAndOverrides) {
   setenv("TDG_RACE_SAMPLE_TASKS", "8", 1);
   setenv("TDG_RACE_SAMPLE_ADDRS", "4", 1);
   setenv("TDG_RACE_SEED", "7", 1);
-  o = race_env_options();
+  o = env_race_options();
   EXPECT_EQ(o.sample_tasks, 8u);
   EXPECT_EQ(o.sample_addrs, 4u);
   EXPECT_EQ(o.seed, 7u);

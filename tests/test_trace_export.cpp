@@ -2,9 +2,11 @@
 // malformed-input rejection and the end-to-end runtime trace pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "core/env.hpp"
 #include "core/profiler.hpp"
 #include "core/runtime.hpp"
 #include "core/trace_export.hpp"
@@ -147,22 +149,24 @@ TEST(TraceSniffing, SelectsFormatByFirstByte) {
 }
 
 TEST(TraceEnv, ModeParsing) {
-  // trace_env_config reads TDG_TRACE / TDG_TRACE_FILE from the process
+  // read_env() reads TDG_TRACE / TDG_TRACE_FILE from the process
   // environment; drive it via setenv.
   setenv("TDG_TRACE", "perfetto", 1);
-  EXPECT_EQ(trace_env_config().mode, TraceMode::Perfetto);
+  EXPECT_EQ(read_env().trace, TraceMode::Perfetto);
   setenv("TDG_TRACE", "json", 1);
-  EXPECT_EQ(trace_env_config().mode, TraceMode::Perfetto);
+  EXPECT_EQ(read_env().trace, TraceMode::Perfetto);
   setenv("TDG_TRACE", "tsv", 1);
-  EXPECT_EQ(trace_env_config().mode, TraceMode::Tsv);
+  EXPECT_EQ(read_env().trace, TraceMode::Tsv);
   setenv("TDG_TRACE", "off", 1);
-  EXPECT_EQ(trace_env_config().mode, TraceMode::Off);
+  EXPECT_EQ(read_env().trace, TraceMode::Off);
+  EXPECT_FALSE(read_env().tracing());
   setenv("TDG_TRACE_FILE", "/tmp/custom.json", 1);
   setenv("TDG_TRACE", "perfetto", 1);
-  EXPECT_EQ(trace_env_config().path, "/tmp/custom.json");
+  EXPECT_EQ(read_env().trace_file, "/tmp/custom.json");
   unsetenv("TDG_TRACE");
   unsetenv("TDG_TRACE_FILE");
-  EXPECT_EQ(trace_env_config().mode, TraceMode::Off);
+  EXPECT_FALSE(read_env().trace.has_value());
+  EXPECT_FALSE(read_env().tracing());
 }
 
 std::vector<CommRecord> sample_comms() {

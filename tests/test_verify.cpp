@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/env.hpp"
 #include "core/persistent.hpp"
 #include "core/tdg.hpp"
 #include "core/trace_export.hpp"
@@ -253,15 +254,17 @@ TEST(Verify, MaxReportsCapsFindingsNotTotals) {
 
 TEST(Verify, EnvModeParsing) {
   setenv("TDG_VERIFY", "off", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Off);
+  EXPECT_EQ(read_env().verify, VerifyMode::Off);
   setenv("TDG_VERIFY", "post", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Post);
+  EXPECT_EQ(read_env().verify, VerifyMode::Post);
   setenv("TDG_VERIFY", "strict", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Strict);
+  EXPECT_EQ(read_env().verify, VerifyMode::Strict);
   setenv("TDG_VERIFY", "bogus", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(read_env().verify.has_value());  // unknown -> unset
+  testing::internal::GetCapturedStderr();
   unsetenv("TDG_VERIFY");
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  EXPECT_FALSE(read_env().verify.has_value());
 }
 
 // --- PTSG replay-safety -----------------------------------------------------
