@@ -7,6 +7,8 @@
 #     spawn+execute path (deque + slab allocator), no steal noise.
 #   * bench_micro_discovery's BM_DiscoveryMixed/10000/1 — the dependency-
 #     discovery path (address table + history lists) at the 10k-address mix.
+# Each application benchmark workload (appbench/run.py --trace 1) must also
+# keep its address-table probe chains short: depend.probe_len_p95 <= 16.
 #
 # Baseline file format: line 1 is the bare spawn items/s (kept first for
 # compatibility), subsequent lines are "<name> <items/s>". A missing line
@@ -121,6 +123,29 @@ record_trajectory BENCH_discovery.json BM_DiscoveryMixed/10000/1 1 \
 
 gate spawn "$spawn"
 gate discovery "$discovery"
+
+# Address-table clustering gate: each application benchmark workload, run
+# traced, must keep depend.probe_len_p95 (the p95 of the
+# discovery.probe_len histogram) at or under 16 probes. The apps' logical
+# addresses are byte-consecutive and field-strided; a hash that keeps such
+# keys together lets linear probing merge them into clusters hundreds of
+# probes long, which this catches.
+for workload in lulesh_rediscover hpcg_persistent cholesky_tiles; do
+  echo "=== [bench-smoke] appbench $workload --trace 1 (probe gate) ==="
+  python3 appbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+          --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+workload = sys.argv[1]
+doc = json.load(sys.stdin)
+if not doc["correct"]:
+    sys.exit(f"bench-smoke FAILED: appbench {workload} was not correct")
+p95 = doc["metrics"]["depend.probe_len_p95"]["value"]
+print(f"=== [bench-smoke] {workload} depend.probe_len_p95 {p95:.1f} "
+      f"(ceiling 16) ===")
+if p95 > 16:
+    sys.exit(f"bench-smoke FAILED: {workload} probe_len_p95 {p95:.1f} > 16")
+' "$workload"
+done
 
 # taskbench METG smoke: the full pattern matrix at smoke scale on both
 # engines, every real-runtime leg strict-verified, frontier records

@@ -16,7 +16,14 @@ inline double at(const std::vector<double>& t, int b, int r, int c) {
 }
 }  // namespace
 
+// The kernels are cholesky's run time, and their speed has moved by 15-20%
+// with where the linker placed their loops relative to 64-byte boundaries,
+// that is, with the size of unrelated code linked before this file. Each
+// kernel's entry is 64-byte aligned, which fixes its loops' offsets within
+// their cache lines whatever code surrounds them.
+
 // In-place lower Cholesky of a diagonal tile; the upper triangle is zeroed.
+[[gnu::aligned(64)]]
 void potrf(std::vector<double>& a, int b) {
   for (int j = 0; j < b; ++j) {
     double d = at(a, b, j, j);
@@ -34,6 +41,7 @@ void potrf(std::vector<double>& a, int b) {
 }
 
 // Solve X * L^T = B in place (B := X), L the factorized diagonal tile.
+[[gnu::aligned(64)]]
 void trsm(const std::vector<double>& l, std::vector<double>& x, int b) {
   for (int r = 0; r < b; ++r) {
     for (int j = 0; j < b; ++j) {
@@ -45,6 +53,7 @@ void trsm(const std::vector<double>& l, std::vector<double>& x, int b) {
 }
 
 // C -= A * A^T (trailing symmetric update of a diagonal tile).
+[[gnu::aligned(64)]]
 void syrk(const std::vector<double>& a, std::vector<double>& c, int b) {
   for (int r = 0; r < b; ++r) {
     for (int j = 0; j < b; ++j) {
@@ -56,6 +65,7 @@ void syrk(const std::vector<double>& a, std::vector<double>& c, int b) {
 }
 
 // C -= A * B^T (trailing update of an off-diagonal tile).
+[[gnu::aligned(64)]]
 void gemm(const std::vector<double>& a, const std::vector<double>& bm,
           std::vector<double>& c, int b) {
   for (int r = 0; r < b; ++r) {

@@ -10,10 +10,11 @@
 //
 // Data layout (see DESIGN.md "Discovery data layout"): the access history
 // is an open-addressing hash table — one flat power-of-two array of
-// (address, entry*) slots probed linearly under a mixed pointer hash — and
-// the AddrEntry payloads live in a slab arena (core/slab.hpp), so a rehash
-// moves only 16-byte slots while entries (which hold node references and
-// possibly-spilled small_vectors) never move. History lists use
+// (address, entry*) slots probed linearly under one full-avalanche address
+// hash (murmur3 fmix64, see depend.cpp) — and the AddrEntry payloads live
+// in a slab arena (core/slab.hpp), so a rehash moves only 16-byte slots
+// while entries (which hold node references and possibly-spilled
+// small_vectors) never move. History lists use
 // small_vector: the single writer / few readers of the common case stay
 // inline in the arena block, wide inoutset generations spill.
 #pragma once
@@ -90,27 +91,8 @@ class DiscoveryHooks {
   virtual void seal_internal_node(Node node) = 0;
 };
 
-/// Locality-preserving pointer hash. Depend addresses arrive in array
-/// order in real applications (mesh blocks, matrix tiles), so a hash that
-/// scatters neighbours — a murmur-style finalizer — turns the sequential
-/// table walk the hardware prefetcher would eat for free into one random
-/// cache miss per probe; measured on the discovery microbench that costs
-/// ~2x at 10k+ addresses. Instead: drop the alignment zeros and *add*
-/// shifted copies. Sequential addresses stay in adjacent slots (prefetch
-/// works, no collisions), while the folded terms break the power-of-two
-/// stride pathology a pure identity hash has under a power-of-two mask —
-/// e.g. page-strided addresses (4096 apart) get slot stride 512+1 = 513,
-/// odd and therefore coprime with every table size, so they cycle through
-/// the whole table instead of colliding into 32 slots. Residual
-/// clustering from adversarial patterns is absorbed by linear probing and
-/// monitored by the discovery.probe_len histogram.
-inline std::size_t mix_pointer_hash(const void* p) noexcept {
-  const std::uintptr_t x = reinterpret_cast<std::uintptr_t>(p) >> 3;
-  return static_cast<std::size_t>(x + (x >> 9) + (x >> 18));
-}
-
 /// What the resolver needs to know about a node handle: its clause item,
-/// the table key and hash of an address, and how history holds a node.
+/// the table key of an address, and how history holds a node.
 template <class Node>
 struct NodeTraits;
 
@@ -120,17 +102,14 @@ struct NodeTraits<Task*> {
   using Dep = Depend;
   static constexpr Task* kNone = nullptr;
   static const void* key(const Depend& d) { return d.addr; }
-  static std::size_t hash(const void* key) { return mix_pointer_hash(key); }
   static std::uint64_t id(Task* t) { return t->id(); }
   static void retain(Task* t) { t->retain(); }
   static void release(Task* t) { t->release(); }
 };
 
 /// Simulator graph indices: descriptors live as long as their graph, so
-/// references are no-ops. Abstract addresses are field-strided integers
-/// (lulesh and hpcg use field * 2^20 + block), which the additive pointer
-/// hash folds onto overlapping slot ranges, growing probe chains with the
-/// table; a full-avalanche finalizer (murmur3 fmix64) spreads them.
+/// references are no-ops. Abstract addresses are integers keyed as
+/// pointer-width words.
 template <>
 struct NodeTraits<std::uint32_t> {
   static_assert(sizeof(std::uintptr_t) >= sizeof(std::uint64_t),
@@ -139,12 +118,6 @@ struct NodeTraits<std::uint32_t> {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   static const void* key(const sim::SimDep& d) {
     return reinterpret_cast<const void*>(static_cast<std::uintptr_t>(d.addr));
-  }
-  static std::size_t hash(const void* key) {
-    std::uint64_t x = reinterpret_cast<std::uintptr_t>(key);
-    x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
-    x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
-    return static_cast<std::size_t>(x ^ (x >> 33));
   }
   static std::uint64_t id(std::uint32_t i) { return i; }
   static void retain(std::uint32_t) {}

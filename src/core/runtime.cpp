@@ -379,46 +379,41 @@ EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
   // Pruned, whose ordering is real even though no runtime edge is needed.
   // A Duplicate was joined when the pair was first discovered.
   if (race_ != nullptr) race_->on_edge(pred->id(), succ->id());
-  // The successor's count must be raised BEFORE the edge is published:
-  // otherwise a predecessor completing in between decrements a count that
-  // does not yet include this edge, reaching zero early (the discovery
-  // guard is +1, so 1-1 = 0) and enqueueing the task twice. The undo on
-  // the pruned paths can never hit zero: the guard is still held.
-  succ->npredecessors.fetch_add(1, std::memory_order_relaxed);
-  switch (pred->add_successor(succ, discovering_persistent_)) {
-    case Task::EdgeResult::Created:
-      if (discovering_persistent_) ++succ->persistent_indegree;
-      ++disc_stats_.edges_created;
-      madd(m_.edges_created);
-      if (profiler_->trace_enabled()) {
-        profiler_->record_edge(pred->id(), succ->id());
-      }
-      return EdgeOutcome::Created;
-    case Task::EdgeResult::Recorded:
+  // Most edges of a rediscovered graph point at predecessors that have
+  // already finished. Outside persistent discovery they are pruned
+  // without the predecessor's lock or the successor's count round trip.
+  Task::EdgeResult r = Task::EdgeResult::Pruned;
+  if (discovering_persistent_ || !pred->try_prune(succ)) {
+    // The successor's count must be raised BEFORE the edge is published:
+    // otherwise a predecessor completing in between decrements a count
+    // that does not yet include this edge, reaching zero early (the
+    // discovery guard is +1, so 1-1 = 0) and enqueueing the task twice.
+    // The undo below can never hit zero: the guard is still held.
+    succ->npredecessors.fetch_add(1, std::memory_order_relaxed);
+    r = pred->add_successor(succ, discovering_persistent_);
+    if (r != Task::EdgeResult::Created) {
       succ->npredecessors.fetch_sub(1, std::memory_order_relaxed);
-      ++succ->persistent_indegree;
-      ++disc_stats_.edges_created;
-      madd(m_.edges_created);
-      if (profiler_->trace_enabled()) {
-        profiler_->record_edge(pred->id(), succ->id());
-      }
-      return EdgeOutcome::Created;
-    case Task::EdgeResult::Pruned:
-      succ->npredecessors.fetch_sub(1, std::memory_order_relaxed);
-      ++disc_stats_.edges_pruned;
-      madd(m_.edges_pruned);
-      // The dependence is real even though no runtime edge is needed (the
-      // predecessor already finished); the trace stream keeps it so the
-      // verifier — and critical-path analysis — see the full precedence
-      // relation, not just the materialized subset. Without this, a pruned
-      // pair whose repeat is then dedup'd away would surface as a false
-      // race.
-      if (profiler_->trace_enabled()) {
-        profiler_->record_edge(pred->id(), succ->id());
-      }
-      return EdgeOutcome::Pruned;
+    }
   }
-  return EdgeOutcome::SelfSkip;  // unreachable; switch is exhaustive
+  // A pruned dependence is real even though no runtime edge is needed (the
+  // predecessor already finished); the trace stream keeps it so the
+  // verifier — and critical-path analysis — see the full precedence
+  // relation, not just the materialized subset. Without this, a pruned
+  // pair whose repeat is then dedup'd away would surface as a false race.
+  if (profiler_->trace_enabled()) {
+    profiler_->record_edge(pred->id(), succ->id());
+  }
+  if (r == Task::EdgeResult::Pruned) {
+    ++disc_stats_.edges_pruned;
+    madd(m_.edges_pruned);
+    return EdgeOutcome::Pruned;
+  }
+  // Created, or Recorded: persistent mode keeps the edge of a finished
+  // predecessor for replay without counting it this round.
+  if (discovering_persistent_) ++succ->persistent_indegree;
+  ++disc_stats_.edges_created;
+  madd(m_.edges_created);
+  return EdgeOutcome::Created;
 }
 
 Task* Runtime::make_internal_node() {

@@ -265,8 +265,8 @@ class Task {
   /// must not let a late-discovered dependent escape cancellation.
   EdgeResult add_successor(Task* succ, bool persistent) {
     SpinGuard g(succ_lock_);
-    if (finished_flag_) {
-      if (poisoned_flag_) {
+    if (finished_flag_.load(std::memory_order_relaxed)) {
+      if (poisoned_flag_.load(std::memory_order_relaxed)) {
         succ->cancelled.store(true, std::memory_order_release);
       }
       if (!persistent) return EdgeResult::Pruned;
@@ -277,6 +277,24 @@ class Task {
     return EdgeResult::Created;
   }
 
+  /// Lock-free fast path of add_successor for non-persistent discovery:
+  /// true when this task has already finished, so the edge is pruned, with
+  /// the same graph poisoning of `succ`. False means "not seen finished",
+  /// and the caller takes the locked path, which decides for good. The
+  /// acquire load pairs with the release store in
+  /// snapshot_successors_and_finish: this task's effects and its poisoned
+  /// flag (stored first) happen-before the caller's next steps, and reach
+  /// the successor's body through its discovery-guard drop, exactly as
+  /// the lock hand-off does. Never used in persistent discovery, where a
+  /// finished predecessor must still record the edge.
+  bool try_prune(Task* succ) noexcept {
+    if (!finished_flag_.load(std::memory_order_acquire)) return false;
+    if (poisoned_flag_.load(std::memory_order_relaxed)) {
+      succ->cancelled.store(true, std::memory_order_release);
+    }
+    return true;
+  }
+
   /// Snapshot successors and mark finished, so that later add_successor
   /// calls observe completion. Called once per execution instance. When
   /// `keep` (persistent task), the recorded list is preserved for replay.
@@ -285,8 +303,8 @@ class Task {
   SuccessorList snapshot_successors_and_finish(bool keep,
                                                     bool poisoned) {
     SpinGuard g(succ_lock_);
-    finished_flag_ = true;
-    poisoned_flag_ = poisoned;
+    poisoned_flag_.store(poisoned, std::memory_order_relaxed);
+    finished_flag_.store(true, std::memory_order_release);  // see try_prune
     if (keep) return successors_;  // copy
     return std::move(successors_);
   }
@@ -296,8 +314,8 @@ class Task {
   /// reset the failure state of the previous iteration's instance.
   void rearm_persistent() {
     SpinGuard g(succ_lock_);
-    finished_flag_ = false;
-    poisoned_flag_ = false;
+    finished_flag_.store(false, std::memory_order_relaxed);
+    poisoned_flag_.store(false, std::memory_order_relaxed);
     failed = false;
     retry_attempts = 0;  // each replayed instance gets the full budget
     cancelled.store(false, std::memory_order_relaxed);
@@ -371,8 +389,10 @@ class Task {
   std::atomic<std::int32_t> refs_{1};
 
   SpinLock succ_lock_;
-  bool finished_flag_ = false;
-  bool poisoned_flag_ = false;  // finished in a failed/cancelled state
+  /// Both flags are written under succ_lock_; they are atomics so that
+  /// try_prune may read them without it.
+  std::atomic<bool> finished_flag_{false};
+  std::atomic<bool> poisoned_flag_{false};  // finished failed/cancelled
   SuccessorList successors_;
 };
 

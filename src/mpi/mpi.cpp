@@ -1,6 +1,7 @@
 #include "mpi/mpi.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -714,15 +715,19 @@ bool parse_double(const std::string& s, double& out) {
   out = std::strtod(s.c_str(), &end);
   return end == s.c_str() + s.size();
 }
+// A whole unsigned decimal, the rule read_env applies to TDG_* numbers:
+// no sign, no blanks, no overflow, nothing after the digits.
 bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
+  const char* last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, out);
+  return ec == std::errc{} && end == last;
 }
 }  // namespace
 
 bool parse_fault_spec(const std::string& spec, FaultPlan& fp) {
+  // Parse into a copy, so a spec rejected on a later token leaves `fp`
+  // exactly as it was.
+  FaultPlan next = fp;
   std::size_t i = 0;
   while (i <= spec.size()) {
     std::size_t j = spec.find(',', i);
@@ -735,18 +740,18 @@ bool parse_fault_spec(const std::string& spec, FaultPlan& fp) {
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
     if (key == "seed") {
-      if (!parse_u64(val, fp.seed)) return false;
+      if (!parse_u64(val, next.seed)) return false;
     } else if (key == "loss") {
-      if (!parse_double(val, fp.loss_probability)) return false;
+      if (!parse_double(val, next.loss_probability)) return false;
     } else if (key == "dup") {
-      if (!parse_double(val, fp.duplicate_probability)) return false;
+      if (!parse_double(val, next.duplicate_probability)) return false;
     } else if (key == "reorder") {
-      if (!parse_double(val, fp.reorder_probability)) return false;
+      if (!parse_double(val, next.reorder_probability)) return false;
     } else if (key == "delay") {  // P:S
       const std::size_t c = val.find(':');
       if (c == std::string::npos) return false;
-      if (!parse_double(val.substr(0, c), fp.delay_probability) ||
-          !parse_double(val.substr(c + 1), fp.delay_seconds)) {
+      if (!parse_double(val.substr(0, c), next.delay_probability) ||
+          !parse_double(val.substr(c + 1), next.delay_seconds)) {
         return false;
       }
     } else if (key == "straggler") {  // R@S
@@ -754,10 +759,10 @@ bool parse_fault_spec(const std::string& spec, FaultPlan& fp) {
       if (a == std::string::npos) return false;
       double r = 0;
       if (!parse_double(val.substr(0, a), r) ||
-          !parse_double(val.substr(a + 1), fp.straggler_delay_seconds)) {
+          !parse_double(val.substr(a + 1), next.straggler_delay_seconds)) {
         return false;
       }
-      fp.straggler_ranks.push_back(static_cast<int>(r));
+      next.straggler_ranks.push_back(static_cast<int>(r));
     } else if (key == "kill") {  // R@N
       const std::size_t a = val.find('@');
       if (a == std::string::npos) return false;
@@ -767,11 +772,12 @@ bool parse_fault_spec(const std::string& spec, FaultPlan& fp) {
           !parse_u64(val.substr(a + 1), n)) {
         return false;
       }
-      fp.kill_rank_at_send_seq.emplace_back(static_cast<int>(r), n);
+      next.kill_rank_at_send_seq.emplace_back(static_cast<int>(r), n);
     } else {
       return false;
     }
   }
+  fp = std::move(next);
   return true;
 }
 

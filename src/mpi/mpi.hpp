@@ -188,7 +188,8 @@ struct FaultPlan {
 ///   seed=N  loss=P  dup=P  reorder=P  delay=P:S  straggler=R@S  kill=R@N
 /// (`kill` may repeat). This is the TDG_FAULTS env format; Universe::run
 /// applies the env on top of Options::faults. Returns false on a
-/// malformed spec (fp may be partially updated).
+/// malformed spec, leaving fp unchanged. Counts (`seed`, the N of `kill`)
+/// are whole unsigned decimals.
 bool parse_fault_spec(const std::string& spec, FaultPlan& fp);
 
 /// Counters of fault *decisions* drawn (whole universe, read after

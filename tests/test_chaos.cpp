@@ -176,11 +176,24 @@ TEST(FaultSpec, ParsesFullGrammar) {
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
   FaultPlan fp;
-  EXPECT_FALSE(tdg::mpi::parse_fault_spec("loss=banana", fp));
-  EXPECT_FALSE(tdg::mpi::parse_fault_spec("unknown=1", fp));
-  EXPECT_FALSE(tdg::mpi::parse_fault_spec("kill=1", fp));
-  EXPECT_FALSE(tdg::mpi::parse_fault_spec("delay=0.5", fp));
-  EXPECT_FALSE(tdg::mpi::parse_fault_spec("loss", fp));
+  fp.seed = 7;
+  fp.duplicate_probability = 0.9;
+  for (const char* spec : {
+           "loss=banana", "unknown=1", "kill=1", "delay=0.5", "loss",
+           // Counts are whole unsigned decimals: no sign, no wrap-around.
+           "kill=1@-1", "seed=-3", "seed=+3", "kill=1@18446744073709551616",
+           // A bad later token rejects the whole spec, earlier ones too.
+           "loss=0.5,bogus=1", "seed=3,straggler=1@0.1,kill=1@2,kill=1@x"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_FALSE(tdg::mpi::parse_fault_spec(spec, fp));
+    // A rejected spec leaves the plan exactly as it was.
+    EXPECT_EQ(fp.seed, 7u);
+    EXPECT_EQ(fp.duplicate_probability, 0.9);
+    EXPECT_EQ(fp.loss_probability, 0.0);
+    EXPECT_TRUE(fp.straggler_ranks.empty());
+    EXPECT_EQ(fp.straggler_delay_seconds, 0.0);
+    EXPECT_TRUE(fp.kill_rank_at_send_seq.empty());
+  }
 }
 
 TEST(FaultSpec, EnvOverrideAppliesOnTopOfOptions) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/tdg.hpp"
@@ -193,6 +194,46 @@ TEST(Runtime, DependentTaskloopsPipelinePerChunk) {
   EXPECT_EQ(d.edges_created + d.edges_pruned,
             static_cast<std::uint64_t>(kBlocks));
   for (double x : v) ASSERT_EQ(x, 2.0);
+}
+
+TEST(Runtime, EdgesToFinishedPredecessorsPruneWithExactCounts) {
+  // The writers all finish before their readers are discovered, with no
+  // taskwait barrier in between, so every reader edge takes the lock-free
+  // prune path. Each edge must keep the outcome and the trace record the
+  // locked path gives it: strict verification has no barrier to fall back
+  // on and needs every pruned dependence in the edge stream.
+  Runtime::Config cfg;
+  cfg.num_threads = 2;
+  cfg.verify = tdg::VerifyMode::Strict;
+  Runtime rt(cfg);
+  constexpr int kAddrs = 64;
+  constexpr auto kN = static_cast<std::uint64_t>(kAddrs);
+  std::vector<int> x(kAddrs, 0), y(kAddrs, 0), seen(kAddrs, 0);
+  for (int i = 0; i < kAddrs; ++i) {
+    rt.submit([&x, &y, i] { x[i] = y[i] = i + 1; },
+              {Depend::out(&x[i]), Depend::out(&y[i])});
+  }
+  while (rt.live_tasks() != 0) std::this_thread::yield();
+  // Each reader meets its writer twice: one pruned edge, one duplicate.
+  for (int i = 0; i < kAddrs; ++i) {
+    rt.submit([&x, &y, &seen, i] { seen[i] = x[i] + y[i]; },
+              {Depend::in(&x[i]), Depend::in(&y[i])});
+  }
+  auto d = rt.stats().discovery;
+  EXPECT_EQ(d.edges_created, 0u);
+  EXPECT_EQ(d.edges_pruned, kN);
+  EXPECT_EQ(d.edges_duplicate, kN);
+  // Each updater meets the finished writer (pruned) and its reader, whose
+  // edge is created or pruned depending on whether the reader finished.
+  for (int i = 0; i < kAddrs; ++i) {
+    rt.submit([&x, &seen, i] { x[i] = seen[i] * 10; }, {Depend::inout(&x[i])});
+  }
+  EXPECT_NO_THROW(rt.taskwait());
+  d = rt.stats().discovery;
+  EXPECT_EQ(d.edges_created + d.edges_pruned, 3 * kN);
+  EXPECT_GE(d.edges_pruned, 2 * kN);
+  EXPECT_EQ(d.edges_duplicate, kN);
+  for (int i = 0; i < kAddrs; ++i) ASSERT_EQ(x[i], 20 * (i + 1)) << i;
 }
 
 // --- detach events -----------------------------------------------------------
