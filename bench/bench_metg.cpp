@@ -157,6 +157,7 @@ void sweep_real(const std::vector<tb::Pattern>& patterns, const Scale& s) {
           tb::Config cfg = make_config(p, s, grain);
           tdg::Runtime::Config rc;
           rc.num_threads = static_cast<unsigned>(threads);
+          rc.throttle = bench::runtime_throttle_mpc();
           rc.discovery.dedup_edges = optimized;
           rc.discovery.inoutset_redirect = optimized;
           tdg::Runtime rt(rc);

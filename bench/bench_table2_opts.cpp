@@ -86,6 +86,7 @@ void real_runtime_section() {
   for (const Combo& c : kCombos) {
     Runtime::Config rc;
     rc.num_threads = 2;  // this machine exposes a single core
+    rc.throttle = bench::runtime_throttle_mpc();
     rc.discovery.dedup_edges = c.b;
     rc.discovery.inoutset_redirect = c.c;
     Runtime rt(rc);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/lulesh/simgraph.hpp"
+#include "core/scheduler.hpp"
 #include "sim/graph.hpp"
 #include "sim/sim_runtime.hpp"
 
@@ -74,6 +75,12 @@ inline tdg::sim::SimThrottle throttle_llvm() {
   return {.max_ready = 6144, .max_total = static_cast<std::size_t>(-1)};
 }
 inline tdg::sim::SimThrottle throttle_mpc() {
+  return {.max_ready = static_cast<std::size_t>(-1), .max_total = 10'000'000};
+}
+
+/// The real runtime under MPC-OMP's total bound, as the paper runs it (the
+/// runtime's own default bound is lower, see tdg::ThrottleConfig).
+inline tdg::ThrottleConfig runtime_throttle_mpc() {
   return {.max_ready = static_cast<std::size_t>(-1), .max_total = 10'000'000};
 }
 

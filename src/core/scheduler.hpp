@@ -21,9 +21,17 @@ enum class SchedulePolicy : std::uint8_t {
 
 /// Task-throttling configuration (Section 5, "Task Throttling").
 /// `max_ready` mimics the GCC/LLVM ready-task threshold; `max_total` is the
-/// MPC-OMP bound on all co-existing tasks, ready or not (default 10,000,000
-/// in the paper). When a bound is exceeded the producer thread stops
-/// discovering and executes tasks instead.
+/// MPC-OMP bound on all co-existing tasks, ready or not. When a bound is
+/// exceeded the producer thread stops discovering and executes tasks
+/// instead.
+///
+/// MPC-OMP defaults `max_total` to 10,000,000 (the paper; the simulator's
+/// SimThrottle keeps it). The runtime defaults to 4096: a producer that
+/// discovers faster than the team executes otherwise runs ahead by as much
+/// as the whole graph whenever the workers are descheduled, and peak
+/// memory (~0.7 KB per unfinished task with its successor list) follows
+/// host timing instead of the program. 4096 covers six lulesh-mini
+/// iterations at TPL 64, more than the lookahead of an undisturbed run.
 ///
 /// Under a shared WorkerPool these bounds double as the tenant's admission
 /// quota: each runtime counts only its own ready/live tasks against its own
@@ -31,7 +39,7 @@ enum class SchedulePolicy : std::uint8_t {
 /// work alone — one tenant exceeding its quota never stalls another.
 struct ThrottleConfig {
   std::size_t max_ready = std::numeric_limits<std::size_t>::max();
-  std::size_t max_total = 10'000'000;
+  std::size_t max_total = 4096;
 };
 
 /// Per-thread work deque, a thin policy adapter over the lock-free

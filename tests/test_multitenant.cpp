@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -168,7 +169,11 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   }
 
   auto producer = [&](std::uint32_t weight, std::atomic<unsigned>& id_out) {
-    Runtime rt(tenant_cfg(pool, weight));
+    Runtime::Config cfg = tenant_cfg(pool, weight);
+    // The whole backlog must reach the shard untouched: no throttle stall
+    // may let the producer run its own tasks before the pool is unplugged.
+    cfg.throttle.max_total = std::numeric_limits<std::size_t>::max();
+    Runtime rt(cfg);
     id_out.store(rt.tenant_id());
     rt.begin_batch();
     for (int i = 0; i < kTasks; ++i) {
