@@ -9,6 +9,8 @@
 #     discovery path (address table + history lists) at the 10k-address mix.
 # Each application benchmark workload (appbench/run.py --trace 1) must also
 # keep its address-table probe chains short: depend.probe_len_p95 <= 16.
+# The traced lulesh run must keep depend.edges_per_task <= 6 (a count, not
+# a timing: an inoutset generation left open makes it grow with run length).
 #
 # Baseline file format: line 1 is the bare spawn items/s (kept first for
 # compatibility), subsequent lines are "<name> <items/s>". A missing line
@@ -129,7 +131,10 @@ gate discovery "$discovery"
 # discovery.probe_len histogram) at or under 16 probes. The apps' logical
 # addresses are byte-consecutive and field-strided; a hash that keeps such
 # keys together lets linear probing merge them into clusters hundreds of
-# probes long, which this catches.
+# probes long, which this catches. The lulesh run also gates its edge
+# calls per task: an exact count of the discovered graph, so a ceiling of
+# 6 (4.97 with inoutset generations closed at their first reader, 17.5
+# with generations left open) is free of timing noise.
 for workload in lulesh_rediscover hpcg_persistent cholesky_tiles; do
   echo "=== [bench-smoke] appbench $workload --trace 1 (probe gate) ==="
   python3 appbench/run.py --workload "$workload" --seed 1 --seconds 2 \
@@ -144,6 +149,13 @@ print(f"=== [bench-smoke] {workload} depend.probe_len_p95 {p95:.1f} "
       f"(ceiling 16) ===")
 if p95 > 16:
     sys.exit(f"bench-smoke FAILED: {workload} probe_len_p95 {p95:.1f} > 16")
+if workload == "lulesh_rediscover":
+    epr = doc["metrics"]["depend.edges_per_task"]["value"]
+    print(f"=== [bench-smoke] {workload} depend.edges_per_task {epr:.2f} "
+          f"(ceiling 6) ===")
+    if epr > 6:
+        sys.exit(f"bench-smoke FAILED: {workload} edges_per_task "
+                 f"{epr:.2f} > 6")
 ' "$workload"
 done
 

@@ -42,10 +42,10 @@ void BasicDependencyMap<Node>::grow_table() {
   delete[] slots_;
   slots_ = fresh;
   if (mreg_ != nullptr) {
-    mreg_->add(mids_.rehash);
-    mreg_->gauge_add(mids_.arena_bytes,
-                     static_cast<std::int64_t>((new_cap - cap_) *
-                                               sizeof(Slot)));
+    mreg_->add_owned(mids_.rehash);
+    mreg_->gauge_add_owned(mids_.arena_bytes,
+                           static_cast<std::int64_t>((new_cap - cap_) *
+                                                     sizeof(Slot)));
   }
   cap_ = new_cap;
   ++rehashes_;
@@ -62,7 +62,7 @@ auto BasicDependencyMap<Node>::lookup(const void* addr) -> AddrEntry& {
   std::uint64_t probes = 1;
   while (slots_[i].entry != nullptr) {
     if (slots_[i].key == addr) {
-      if (mreg_ != nullptr) mreg_->observe(mids_.probe_len, probes);
+      if (mreg_ != nullptr) mreg_->observe_owned(mids_.probe_len, probes);
       last_addr_ = addr;
       last_entry_ = slots_[i].entry;
       return *last_entry_;
@@ -78,10 +78,10 @@ auto BasicDependencyMap<Node>::lookup(const void* addr) -> AddrEntry& {
   last_addr_ = addr;
   last_entry_ = e;
   if (mreg_ != nullptr) {
-    mreg_->observe(mids_.probe_len, probes);
-    mreg_->gauge_add(mids_.addr_entries, 1);
+    mreg_->observe_owned(mids_.probe_len, probes);
+    mreg_->gauge_add_owned(mids_.addr_entries, 1);
     if (src == TaskArena::Source::NewChunk) {
-      mreg_->gauge_add(
+      mreg_->gauge_add_owned(
           mids_.arena_bytes,
           static_cast<std::int64_t>(TaskArena::kBlocksPerChunk *
                                     arena_.block_bytes()));
@@ -197,16 +197,25 @@ void BasicDependencyMap<Node>::apply(Node task, std::span<const Dep> deps,
           std::swap(e.gen_base, e.last_mod);
           for (Node r : e.readers) retain_into(e.gen_base, r);
           release_all(e.readers);
+        } else if (!e.readers.empty()) {
+          // Close the generation at its first reader: every reader that
+          // arrived while it was open is already ordered after every
+          // member and the base, so the readers alone are the base of the
+          // next generation. The transitive order is unchanged; without
+          // this, each later member takes an edge from every reader so far
+          // and each later reader one from every member so far.
+          release_all(e.last_mod);
+          release_all(e.gen_base);
+          std::swap(e.gen_base, e.readers);
         }
         // A growing generation needs a fresh redirect for future consumers;
         // those discovered so far keep their edges to the old node (they
         // must not depend on this new member).
         drop_redirect(e);
-        // A member is ordered after the generation base and any reader that
-        // arrived while the generation was open (OpenMP 5.1: inoutset
-        // depends on prior in/out/inout accesses, not prior inoutset).
+        // A member is ordered after the generation base (OpenMP 5.1:
+        // inoutset depends on prior in/out/inout accesses, not prior
+        // inoutset); readers of an open generation became the base above.
         for (Node b : e.gen_base) edge(b, task, opts, addr);
-        for (Node r : e.readers) edge(r, task, opts, addr);
         retain_into(e.last_mod, task);
         break;
     }
@@ -228,7 +237,7 @@ void BasicDependencyMap<Node>::clear() {
     slots_[i].key = nullptr;
   }
   if (mreg_ != nullptr && size_ != 0) {
-    mreg_->gauge_add(mids_.addr_entries,
+    mreg_->gauge_add_owned(mids_.addr_entries,
                      -static_cast<std::int64_t>(size_));
   }
   size_ = 0;

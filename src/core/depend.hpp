@@ -152,7 +152,9 @@ class BasicDependencyMap {
   void clear();
 
   /// Observability handles (registered by the owning runtime): probe-length
-  /// histogram, rehash counter, live-entry and arena-footprint gauges.
+  /// histogram, rehash counter, live-entry and arena-footprint gauges. The
+  /// map writes them into the registry's single-writer shard: like the
+  /// history itself, they are touched only by the discovering thread.
   struct MetricIds {
     MetricsRegistry::Id probe_len;     ///< histogram discovery.probe_len
     MetricsRegistry::Id rehash;        ///< counter discovery.rehash

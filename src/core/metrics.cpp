@@ -12,7 +12,9 @@ namespace tdg {
 // ---------------------------------------------------------------------------
 
 MetricsRegistry::MetricsRegistry(unsigned nshards, bool enabled)
-    : enabled_(enabled), shards_(nshards > 0 ? nshards : 1) {
+    : enabled_(enabled),
+      nshared_(nshards > 0 ? nshards : 1),
+      shards_(nshared_ + 1) {
   for (auto& sh : shards_) {
     sh.slots = std::make_unique<std::atomic<std::uint64_t>[]>(kMaxSlots);
     for (std::uint32_t i = 0; i < kMaxSlots; ++i) {
@@ -75,13 +77,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot::Entry e;
     e.name = info.name;
     e.kind = info.kind;
-    auto sum_slot = [this](std::uint32_t s) {
-      std::uint64_t total = 0;
-      for (const Shard& sh : shards_) {
-        total += sh.slots[s].load(std::memory_order_relaxed);
-      }
-      return total;
-    };
     switch (info.kind) {
       case MetricKind::Counter:
         e.value = sum_slot(info.slot);

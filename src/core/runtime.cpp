@@ -612,10 +612,16 @@ void Runtime::run_task(Task* t, unsigned thread) {
   // fulfill its detach event; force-fulfill so the latch resolves instead
   // of wedging taskwait (idempotent if the body got far enough to post).
   if (!ok && t->detach_event != nullptr) t->detach_event->fulfill();
+  // Mark a finished body that still waits for its event before dropping
+  // the latch: once the event's fulfilment takes the latch to zero, that
+  // thread completes and frees t, so nothing may write t after our
+  // decrement. If the latch drop is the last one, complete_task
+  // overwrites the mark.
+  if (ok && t->detach_event != nullptr) {
+    t->state.store(TaskState::Detached, std::memory_order_relaxed);
+  }
   if (t->completion_latch.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     complete_task(t, thread);
-  } else {
-    t->state.store(TaskState::Detached, std::memory_order_relaxed);
   }
   if (timed_) profiler_->add_overhead(thread, now_ns() - t_body_end);
 }
@@ -1053,6 +1059,18 @@ unsigned Runtime::current_slot() const {
   // maps to slot 0, exactly as in the pre-pool numbering.
   if (pool_->on_pool_worker()) return 1 + WorkerPool::calling_slot();
   return 0;
+}
+
+void Runtime::madd(MetricsRegistry::Id id, std::uint64_t v) {
+  // Only the thread that constructed this runtime has tls_runtime == this,
+  // so the owned shard has one writer (the depend map writes there too,
+  // from the same thread). A producer that is also a worker of the pool
+  // keeps its worker shard.
+  if (tls_runtime == this && !pool_->on_pool_worker()) {
+    metrics_->add_owned(id, v);
+  } else {
+    metrics_->add(id, v, current_slot());
+  }
 }
 
 void Runtime::arm_watchdog_baseline() {

@@ -442,10 +442,10 @@ class Runtime : public DiscoveryHooks<Task*> {
   void throttle(unsigned thread);
   void poll();
   unsigned current_slot() const;
-  /// Counter increment routed to the calling thread's shard.
-  void madd(MetricsRegistry::Id id, std::uint64_t v = 1) {
-    metrics_->add(id, v, current_slot());
-  }
+  /// Counter increment routed to the calling thread's shard: the
+  /// registry's single-writer shard on the producer thread, a shared
+  /// shard (atomic RMW) anywhere else.
+  void madd(MetricsRegistry::Id id, std::uint64_t v = 1);
   /// Capture the metrics baseline a later watchdog report deltas against.
   void arm_watchdog_baseline();
   /// Run the soundness checker if the verify mode asks for it and anything

@@ -42,24 +42,11 @@ struct ShadowAddr {
   bool mod_is_set = false;
 };
 
-/// A conflicting access pair the graph must order (pred submitted first).
-struct RequiredPair {
-  std::uint64_t pred = 0;
-  std::uint64_t succ = 0;
-  std::uint64_t addr = 0;
-  DependType pred_type = DependType::In;
-  DependType succ_type = DependType::In;
-};
+}  // namespace
 
-/// Derive the required ordering pairs from the access stream. Mirrors
-/// DependencyMap::apply: In follows the modification set; Out/InOut follow
-/// the modification set and all readers since; InOutSet members follow the
-/// generation base (the pre-generation modification set + readers) and are
-/// mutually unordered within one generation. Transitive closure of these
-/// pairs orders every conflicting access pair, so checking them suffices.
 std::vector<RequiredPair> shadow_required_pairs(
     std::span<const AccessRecord> accesses,
-    std::span<const std::uint64_t> scope_clears = {}) {
+    std::span<const std::uint64_t> scope_clears) {
   std::vector<RequiredPair> pairs;
   std::unordered_map<std::uint64_t, ShadowAddr> table;
   table.reserve(256);
@@ -107,17 +94,24 @@ std::vector<RequiredPair> shadow_required_pairs(
           st.mods.clear();
           st.readers.clear();
           st.mod_is_set = true;
+        } else if (!st.readers.empty()) {
+          // Readers of an open generation close it (the resolver's rule):
+          // they already follow every member, so they alone are the base
+          // of the next generation, and the members before them reach the
+          // new member through them.
+          st.gen_base = std::move(st.readers);
+          st.readers.clear();
+          st.mods.clear();
         }
         for (const ShadowRef& g : st.gen_base) require(g);
-        // Readers that arrived while the generation was open also precede
-        // new members (OpenMP 5.1: inoutset follows prior in accesses).
-        for (const ShadowRef& r : st.readers) require(r);
         st.mods.push_back({a.task_id, a.type});
         break;
     }
   }
   return pairs;
 }
+
+namespace {
 
 /// Dense-index graph with topological order, shared by both query modes.
 struct Graph {

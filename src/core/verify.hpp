@@ -73,6 +73,28 @@ struct VerifyReport {
   std::string summary() const;
 };
 
+/// A conflicting access pair the graph must order (pred submitted first).
+struct RequiredPair {
+  std::uint64_t pred = 0;
+  std::uint64_t succ = 0;
+  std::uint64_t addr = 0;
+  DependType pred_type = DependType::In;
+  DependType succ_type = DependType::In;
+};
+
+/// The ordering constraints verify_tdg checks, derived from the access
+/// stream alone. Mirrors DependencyMap::apply: In follows the modification
+/// set; Out/InOut follow the modification set and all readers since;
+/// InOutSet members follow the generation base (the pre-generation
+/// modification set + readers) and are mutually unordered within one
+/// generation; an InOutSet that finds readers of the open generation starts
+/// a new one whose base is those readers. The transitive closure of these
+/// pairs orders every conflicting access pair, so checking them suffices.
+/// `scope_clears` as for verify_tdg.
+std::vector<RequiredPair> shadow_required_pairs(
+    std::span<const AccessRecord> accesses,
+    std::span<const std::uint64_t> scope_clears = {});
+
 /// Prove or refute that the discovered graph orders every conflicting
 /// access pair. `accesses` is the per-task depend-clause stream in
 /// submission order (ids strictly increasing task by task), `edges` the

@@ -13,9 +13,6 @@ namespace tdg::mpi {
 
 RequestPoller::RequestPoller(Runtime& rt, Comm* comm)
     : rt_(&rt), comm_(comm) {
-  hook_token_ = rt_->set_polling_hook([this] { poll(); });
-  diag_token_ = rt_->watchdog().add_diagnostic(
-      [this](std::string& out) { diagnostic(out); });
   // Registration is idempotent by name, so successive pollers on one
   // runtime (tests create several) accumulate into the same counters.
   MetricsRegistry& m = rt_->metrics();
@@ -42,6 +39,12 @@ RequestPoller::RequestPoller(Runtime& rt, Comm* comm)
                                                     telem_cfg_.ring_capacity);
     }
   }
+  // Install the hooks last: a worker may run poll() (and with it the
+  // telemetry sampler) or the diagnostic as soon as they are in place, so
+  // every member they read must already be set.
+  hook_token_ = rt_->set_polling_hook([this] { poll(); });
+  diag_token_ = rt_->watchdog().add_diagnostic(
+      [this](std::string& out) { diagnostic(out); });
 }
 
 void RequestPoller::complete_on_event(Request r, Event* ev,

@@ -2,7 +2,12 @@
 // against the verifier's independent shadow on randomized clause streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/verify.hpp"
@@ -12,6 +17,7 @@ namespace {
 
 using tdg::AccessRecord;
 using tdg::DependType;
+using tdg::RequiredPair;
 using tdg::TraceEdge;
 using tdg::VerifyReport;
 using tdg::sim::SimDep;
@@ -155,6 +161,127 @@ TEST(SimGraphOracle, RandomClauseStreamsSatisfyVerifier) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The verifier's own claim, checked by brute force: the transitive closure
+// of its required pairs orders every conflicting access pair. Conflicts
+// are computed here from the access stream alone — W/W, W/R, and inoutset
+// against any non-inoutset access; two inoutset accesses conflict unless
+// no other access type on the address lies between them (one
+// uninterrupted run is one concurrent generation).
+// ---------------------------------------------------------------------------
+
+TEST(SimGraphOracle, RequiredPairClosureOrdersEveryConflict) {
+  constexpr int kTasks = 240;
+  constexpr int kAddrs = 6;
+  // Uniform types, then a mix dominated by inoutset runs broken by readers
+  // (the generation-closing path).
+  const std::vector<std::vector<DependType>> mixes = {
+      {DependType::In, DependType::Out, DependType::InOut,
+       DependType::InOutSet},
+      {DependType::In, DependType::In, DependType::In, DependType::InOutSet,
+       DependType::InOutSet, DependType::InOutSet, DependType::InOutSet,
+       DependType::InOut}};
+  for (const auto& mix : mixes) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      std::uint64_t s = seed;
+      auto rnd = [&s](int mod) {
+        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<int>((s >> 33) % static_cast<std::uint64_t>(mod));
+      };
+      std::vector<AccessRecord> accesses;
+      for (std::uint64_t t = 0; t < kTasks; ++t) {
+        const int nitems = 1 + rnd(3);
+        for (int i = 0; i < nitems; ++i) {
+          accesses.push_back(
+              {t, static_cast<std::uint64_t>(rnd(kAddrs)),
+               mix[static_cast<std::size_t>(
+                   rnd(static_cast<int>(mix.size())))]});
+        }
+      }
+
+      // Brute-force conflicts, keyed by (pred, succ) task pair.
+      std::set<std::pair<std::uint64_t, std::uint64_t>> conflicts;
+      std::map<std::uint64_t, std::vector<const AccessRecord*>> by_addr;
+      for (const AccessRecord& a : accesses) by_addr[a.addr].push_back(&a);
+      for (const auto& [addr, seq] : by_addr) {
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+          bool run_unbroken = true;  // only inoutset since seq[i]
+          for (std::size_t j = i + 1; j < seq.size(); ++j) {
+            const DependType x = seq[i]->type;
+            const DependType y = seq[j]->type;
+            const bool conflict =
+                x == DependType::InOutSet && y == DependType::InOutSet
+                    ? !run_unbroken
+                    : !(x == DependType::In && y == DependType::In);
+            if (conflict && seq[i]->task_id != seq[j]->task_id) {
+              conflicts.insert({seq[i]->task_id, seq[j]->task_id});
+            }
+            if (y != DependType::InOutSet) run_unbroken = false;
+          }
+        }
+      }
+
+      const std::vector<RequiredPair> pairs =
+          tdg::shadow_required_pairs(accesses);
+      // Ids ascend with submission, so reachability fills backwards.
+      std::vector<std::vector<std::uint64_t>> succ(kTasks);
+      for (const RequiredPair& p : pairs) {
+        ASSERT_LT(p.pred, p.succ);
+        // Every required pair is itself a conflict: none is over-ordered.
+        EXPECT_TRUE(conflicts.count({p.pred, p.succ}))
+            << "seed " << seed << ": " << p.pred << "->" << p.succ;
+        succ[p.pred].push_back(p.succ);
+      }
+      std::vector<std::bitset<kTasks>> reach(kTasks);
+      for (std::uint64_t v = kTasks; v-- > 0;) {
+        reach[v].set(v);
+        for (std::uint64_t w : succ[v]) reach[v] |= reach[w];
+      }
+      std::size_t unordered = 0;
+      for (const auto& [a, b] : conflicts) unordered += !reach[a].test(b);
+      EXPECT_EQ(unordered, 0u) << "seed " << seed << ": " << conflicts.size()
+                               << " conflicts, " << pairs.size()
+                               << " required pairs";
+    }
+  }
+}
+
+TEST(SimGraphOracle, MissingReaderToNewMemberEdgeIsRejected) {
+  // writer, member, reader, member, reader on one address: the reader
+  // closes the first generation, so the second member's only required
+  // predecessor is that reader. Drop exactly that edge from the
+  // resolver's graph and the verifier must refuse the rest.
+  SimGraphBuilder b({.dedup_edges = true, .inoutset_redirect = false});
+  const std::vector<SimDep> stream = {SimDep::out(5), SimDep::inoutset(5),
+                                      SimDep::in(5), SimDep::inoutset(5),
+                                      SimDep::in(5)};
+  std::vector<AccessRecord> accesses;
+  for (const SimDep& d : stream) {
+    const std::uint32_t id = b.task(SimTaskAttrs{}, {d});
+    accesses.push_back({id, d.addr, d.type});
+  }
+  const SimGraph g = b.take();
+  std::vector<TraceEdge> edges;
+  for (std::uint32_t t = 0; t < g.tasks.size(); ++t) {
+    for (std::uint32_t p : g.tasks[t].preds) edges.push_back({p, t});
+  }
+  const VerifyReport whole = tdg::verify_tdg(accesses, edges);
+  ASSERT_TRUE(whole.ok()) << whole.summary();
+  // out->m1, m1->r1, r1->m2, m2->r2: the closed generation costs no
+  // writer->m2 or m1-era edges.
+  EXPECT_EQ(edges.size(), 4u);
+
+  const auto reader_edge = std::find_if(
+      edges.begin(), edges.end(),
+      [](const TraceEdge& e) { return e.pred == 2 && e.succ == 3; });
+  ASSERT_NE(reader_edge, edges.end());
+  edges.erase(reader_edge);
+  const VerifyReport cut = tdg::verify_tdg(accesses, edges);
+  ASSERT_EQ(cut.races_total, 1u) << cut.summary();
+  EXPECT_EQ(cut.races[0].pred_id, 2u);
+  EXPECT_EQ(cut.races[0].succ_id, 3u);
 }
 
 }  // namespace

@@ -34,6 +34,26 @@ TEST(SimGraphLulesh, IntraNodeTaskCountMatchesLoopStructure) {
   EXPECT_GT(g.redirect_nodes, 0u);  // the SSUM inoutset fan-in
 }
 
+TEST(SimGraphLulesh, EdgeCallsPerTaskDoNotGrowWithTimesteps) {
+  // Rediscovering every timestep, the dt reduction's inoutset generation
+  // is followed by in readers each step. Closing the generation at those
+  // readers keeps the edge calls per task flat; an open generation made
+  // each member take an edge from every reader so far and each reader one
+  // from every member so far. The simulator instantiation discovers the
+  // graph without running it, so the counts are schedule-free.
+  auto calls_per_task = [](int timesteps) {
+    SimGraph g = build_sim_graph(base_options(64, timesteps));
+    const std::uint64_t calls =
+        g.structural_edges() + g.duplicate_edges_skipped;
+    return static_cast<double>(calls) /
+           static_cast<double>(g.tasks.size() - g.redirect_nodes);
+  };
+  const double at16 = calls_per_task(16);
+  const double at64 = calls_per_task(64);
+  EXPECT_NEAR(at64, at16, 0.1 * at16) << "16 steps: " << at16
+                                      << ", 64 steps: " << at64;
+}
+
 TEST(SimGraphLulesh, PersistentCapturesOneIteration) {
   auto o = base_options(8, 5);
   o.persistent = true;
